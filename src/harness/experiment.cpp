@@ -1,5 +1,8 @@
 #include "harness/experiment.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "harness/parallel.hpp"
 #include "server/static_site.hpp"
 
@@ -62,81 +65,132 @@ client::ClientConfig msie_client_config(bool broken_revalidation) {
 
 RunResult run_once(const ExperimentSpec& spec,
                    const content::MicroscapeSite& site) {
-  // Sharded-engine dispatch, mirroring run_workload: config knob first, then
-  // the HSIM_THREADS environment hook; zero-lookahead channels stay classic.
+  // Shard 0 = client side, shard S-1 = server side: two shards when threads
+  // are asked for (config knob, else HSIM_THREADS) and the channel has a
+  // nanosecond of lookahead, else one.
   const unsigned threads =
       spec.threads != 0 ? spec.threads : threads_from_env();
-  if (threads != 0 && run_once_lookahead(spec) >= 1) {
-    return run_once_sharded(spec, site, threads);
-  }
+  const sim::Time lookahead = threads != 0 ? run_once_lookahead(spec) : 0;
+  const std::size_t S = lookahead < 1 ? 1 : 2;
+  const std::size_t client_shard = 0;
+  const std::size_t server_shard = S - 1;
 
-  // One registry per run, installed before any instrumented component is
-  // built so every Metrics::bind() resolves against it. The registry dies
-  // with this frame; RunResult carries a Snapshot instead.
-  obs::Registry registry;
-  if (spec.conn_timelines) registry.enable_timelines();
-  obs::ScopedRegistry scoped(&registry);
-
-  sim::EventQueue queue;
+  // One registry per shard, installed before any instrumented component is
+  // built so every Metrics::bind() resolves against it. The registries die
+  // with this frame; RunResult carries a Snapshot of their merge instead.
+  ShardedRun run(S, threads, lookahead);
+  sim::ShardedEngine& engine = run.engine;
+  sim::EventQueue& client_queue = engine.queue(client_shard);
+  sim::EventQueue& server_queue = engine.queue(server_shard);
   sim::Rng rng(spec.seed);
 
   net::ChannelConfig channel_config = spec.network.channel_config();
   if (spec.mutate_channel) spec.mutate_channel(channel_config);
   apply_profile_overlay(spec.profile, channel_config, "access");
-  net::Channel channel(queue, channel_config, rng.fork());
-  tcp::Host client_host(queue, kClientAddr, "client", rng.fork());
-  tcp::Host server_host(queue, kServerAddr, "server", rng.fork());
-  channel.attach_a(&client_host);
-  channel.attach_b(&server_host);
-  client_host.attach_uplink(&channel.uplink_from_a());
-  server_host.attach_uplink(&channel.uplink_from_b());
+  // The links fork the channel rng in net::Channel's order (a_to_b, then
+  // b_to_a), each on the shard of its transmitter.
+  sim::Rng channel_rng = rng.fork();
+  run.use(client_shard);
+  net::Link a_to_b(client_queue, channel_config.a_to_b, channel_rng.fork());
+  run.use(server_shard);
+  net::Link b_to_a(server_queue, channel_config.b_to_a, channel_rng.fork());
+
+  run.use(client_shard);
+  tcp::Host client_host(client_queue, kClientAddr, "client", rng.fork());
+  run.use(server_shard);
+  tcp::Host server_host(server_queue, kServerAddr, "server", rng.fork());
+
+  a_to_b.set_sink(&server_host);
+  b_to_a.set_sink(&client_host);
+  if (S > 1) {
+    cross_deliver(engine, server_shard, a_to_b);
+    cross_deliver(engine, client_shard, b_to_a);
+  }
+  client_host.attach_uplink(&a_to_b);
+  server_host.attach_uplink(&b_to_a);
   if (spec.make_link_sizer) {
-    channel.uplink_from_a().set_payload_sizer(spec.make_link_sizer());
-    channel.uplink_from_b().set_payload_sizer(spec.make_link_sizer());
+    a_to_b.set_payload_sizer(spec.make_link_sizer());
+    b_to_a.set_payload_sizer(spec.make_link_sizer());
   }
 
-  net::PacketTrace trace(kClientAddr);
+  // Taps record into one stream per shard, each record keyed by the event
+  // that produced it; after the run the streams merge back into the one
+  // canonical order and replay into the PacketTrace.
+  struct KeyedRecord {
+    sim::EventKey key;
+    sim::Time time = 0;
+    net::Packet packet;
+  };
+  bool tracing = false;
+  std::vector<KeyedRecord> taps[2];
+  const auto tap_into = [&](std::size_t shard) {
+    return [&, shard](const net::Packet& p) {
+      if (!tracing) return;
+      const sim::EventQueue& q = engine.queue(shard);
+      taps[shard].push_back({q.current_key(), q.now(), p});
+    };
+  };
+  a_to_b.set_tap(tap_into(client_shard));
+  b_to_a.set_tap(tap_into(server_shard));
 
   server::HttpServer server(server_host,
                             server::StaticSite::from_microscape(site),
                             spec.server, rng.fork());
   server.start(kHttpPort);
 
+  run.use(client_shard);
   client::ClientConfig client_config = spec.client;
   client_config.tcp.recv_buffer = std::min(client_config.tcp.recv_buffer,
                                            spec.network.client_recv_buffer);
   client::Robot robot(client_host, kServerAddr, kHttpPort, client_config);
+  obs::set_registry(&run.master);
 
-  const auto run_to_completion = [&] {
-    // Generous horizon: even PPP first visits finish within 120 s; the
-    // bound only protects against pathological stalls.
-    queue.run_until(sim::seconds(600));
+  // Generous horizon: even PPP first visits finish within 120 s; the bound
+  // only protects against pathological stalls.
+  const auto run_to_completion = [&] { engine.run_until(sim::seconds(600)); };
+  // The robot starts inside a client-shard event: it transmits the first
+  // SYN, and a tap (or a crossing) keys its record by the executing event.
+  const auto start_on_client_shard = [&](auto start) {
+    client_queue.schedule_at(client_queue.now(), std::move(start));
   };
 
   if (spec.scenario == Scenario::kRevalidation) {
     // Unmeasured warm-up to populate the cache.
     bool warm_done = false;
-    robot.start_first_visit("/index.html", [&] { warm_done = true; });
+    start_on_client_shard(
+        [&] { robot.start_first_visit("/index.html", [&] { warm_done = true; }); });
     run_to_completion();
     if (!warm_done) {
       return RunResult{};  // warm-up stalled; surfaced as incomplete
     }
     // Let connections drain fully, then start measuring.
-    queue.run_until(queue.now() + sim::seconds(120));
+    engine.run_until(engine.now() + sim::seconds(120));
     client_host.reset_connection_counters();
   }
 
-  channel.set_trace(&trace);
-  bool done = false;
+  tracing = true;
   if (spec.scenario == Scenario::kFirstVisit) {
-    robot.start_first_visit("/index.html", [&] { done = true; });
+    start_on_client_shard([&] { robot.start_first_visit("/index.html", [] {}); });
   } else {
-    robot.start_revalidation("/index.html", [&] { done = true; });
+    start_on_client_shard([&] { robot.start_revalidation("/index.html", [] {}); });
   }
   run_to_completion();
   // Allow connection teardown (FIN exchanges) to be captured.
-  queue.run_until(queue.now() + sim::seconds(120));
-  (void)done;
+  engine.run_until(engine.now() + sim::seconds(120));
+
+  obs::Registry& registry = run.merge();
+  net::PacketTrace trace(kClientAddr);  // trace.* binds the merged registry
+  std::vector<KeyedRecord>& records = taps[0];
+  const auto shard0_end = static_cast<std::ptrdiff_t>(records.size());
+  records.insert(records.end(), std::make_move_iterator(taps[1].begin()),
+                 std::make_move_iterator(taps[1].end()));
+  std::inplace_merge(records.begin(), records.begin() + shard0_end,
+                     records.end(),
+                     [](const KeyedRecord& a, const KeyedRecord& b) {
+                       return a.key < b.key;
+                     });
+  for (const KeyedRecord& r : records) trace.record(r.time, r.packet);
+
   if (spec.inspect_robot) spec.inspect_robot(robot);
   if (spec.inspect_trace) spec.inspect_trace(trace);
   if (spec.metrics_sink) spec.metrics_sink->consume(registry);

@@ -53,15 +53,12 @@ struct ExperimentSpec {
   /// Optional: handed the run's metrics registry before teardown, so callers
   /// can aggregate counters/histograms across runs.
   obs::MetricsSink* metrics_sink = nullptr;
-  /// Record per-connection TCP timelines (state transitions, cwnd moves,
-  /// segment sends/receives). Off by default: timelines allocate.
-  bool conn_timelines = false;
-  /// Parallel engine selector, mirroring WorkloadConfig::threads: 0 = the
-  /// classic single-queue driver (HSIM_THREADS may promote it), >= 1 = the
-  /// two-shard engine (client shard / server shard) with that many worker
-  /// threads. The shard count is fixed at 2, so every threads >= 1 value is
-  /// byte-identical. Timeline capture (conn_timelines) stays per-shard in
-  /// sharded runs: the merged snapshot carries no timelines.
+  /// Worker threads, mirroring WorkloadConfig::threads. There is one engine
+  /// (harness/parallel.hpp): 0 runs it as one shard with no crossings
+  /// (HSIM_THREADS may promote it); >= 1 splits it into a client shard and a
+  /// server shard, unless the channel has less than 1 ns of lookahead, which
+  /// keeps one shard. The shard count is fixed at 2, so every threads >= 1
+  /// value is byte-identical.
   unsigned threads = 0;
 };
 

@@ -73,9 +73,9 @@ std::optional<netem::PathProfile> resolve_profile(const std::string& value,
 
 /// Applies the resolved overlay onto a duplex channel config, consulting
 /// HSIM_PROFILE when `value` is empty. This is called by every driver path
-/// (run_once, run_workload, their sharded twins and the engine-lookahead
-/// calculators) AFTER the mutate_channel/mutate_access fault hooks, so
-/// chaos regimes compose with any profile. See net::apply_path_profile for
+/// (run_once, run_workload and the engine-lookahead calculators) AFTER the
+/// mutate_channel/mutate_access fault hooks, so chaos regimes compose with
+/// any profile. See net::apply_path_profile for
 /// `label_prefix`.
 void apply_profile_overlay(const std::string& value, net::ChannelConfig& cfg,
                            const char* label_prefix = nullptr);

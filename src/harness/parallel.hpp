@@ -1,9 +1,9 @@
-// Host-sharded drivers for the harness entry points.
+// The engine behind the harness entry points.
 //
-// run_workload and run_once stay the public API; when a caller (or the
-// HSIM_THREADS environment variable) asks for worker threads they dispatch
-// into the sharded drivers here, which rebuild the exact same simulation on
-// a sim::ShardedEngine:
+// run_workload and run_once build every simulation on a sim::ShardedEngine.
+// There is one engine: threads = 0 (and any topology with less than 1 ns of
+// cross-shard lookahead) runs as one shard with no crossings, which executes
+// exactly what a single EventQueue would. With threads >= 1 the partition is
 //
 //   workload, star     — shard 0 owns the server host, the HTTP server and
 //                        both bottleneck links; client i (host + access link
@@ -21,41 +21,65 @@
 //   run_once           — two shards: 0 = client side, 1 = server side, the
 //                        duplex channel's two links split accordingly.
 //
-// Determinism: every rng stream is forked in exactly the legacy order, each
-// component schedules only against its own shard's queue, and cross-shard
-// deliveries are ordered by the sender's full EventKey — see sim/shard.hpp
-// for why the thread count can never change the result. Metrics are counted
-// into one registry per shard (obs::set_registry is thread-local) and merged
-// in shard order after the run.
+// A crossing is installed only where its two ends sit on different shards.
+// Determinism: every rng stream is forked in the same order whatever the
+// shard count, each component schedules only against its own shard's queue,
+// and cross-shard deliveries are ordered by the sender's full EventKey — see
+// sim/shard.hpp for why the thread count can never change the result.
+// Metrics are counted into one registry per shard (obs::set_registry is
+// thread-local) and merged in shard order after the run.
 #pragma once
+
+#include <cstddef>
+#include <memory>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "harness/workload.hpp"
+#include "net/link.hpp"
+#include "obs/metrics.hpp"
+#include "sim/shard.hpp"
 #include "sim/time.hpp"
 
 namespace hsim::harness {
 
 /// HSIM_THREADS parsed as an unsigned, or 0 when unset/unparsable. The
 /// runtime analogue of the configs' `threads` field: it lets CI rerun any
-/// existing binary (golden tests, benches, the chaos matrix) on the sharded
-/// engine without a rebuild, mirroring the HSIM_CC hook.
+/// existing binary (golden tests, benches, the chaos matrix) on several
+/// shards without a rebuild, mirroring the HSIM_CC hook.
 unsigned threads_from_env();
 
 /// Conservative lookahead available to a sharded run of this configuration:
 /// the minimum worst-case-jitter latency over every link that would cross a
-/// shard boundary. < 1 ns means the topology cannot be sharded (the callers
-/// fall back to the classic driver).
+/// shard boundary. < 1 ns means the topology cannot be split, and the run
+/// uses one shard.
 sim::Time workload_lookahead(const WorkloadConfig& config);
 sim::Time run_once_lookahead(const ExperimentSpec& spec);
 
-/// The sharded equivalents of run_workload / run_once. `threads` must be
-/// >= 1 and the matching lookahead >= 1 ns; call only via the public entry
-/// points, which enforce both.
-WorkloadResult run_workload_sharded(const WorkloadConfig& config,
-                                    const content::MicroscapeSite& site,
-                                    unsigned threads);
-RunResult run_once_sharded(const ExperimentSpec& spec,
-                           const content::MicroscapeSite& site,
-                           unsigned threads);
+/// The engine plus one metrics registry per shard. The engine's shard-enter
+/// hook installs a shard's registry before its slice runs; `master` is the
+/// ambient registry outside slices and the merge target after the run.
+struct ShardedRun {
+  ShardedRun(std::size_t shards, unsigned threads, sim::Time lookahead);
+  ShardedRun(const ShardedRun&) = delete;  // the engine's hook holds `this`
+  ShardedRun& operator=(const ShardedRun&) = delete;
+
+  /// Installs `shard`'s registry, for components built outside any slice.
+  void use(std::size_t shard) { obs::set_registry(regs[shard].get()); }
+  /// Folds the shard registries into `master` in shard order and installs
+  /// it. Exact at one shard: every merge identity holds on an empty master.
+  obs::Registry& merge();
+
+  obs::Registry master;
+  std::vector<std::unique_ptr<obs::Registry>> regs;
+  obs::ScopedRegistry scoped{&master};
+  sim::ShardedEngine engine;
+};
+
+/// Routes a link's deliveries across the shard boundary: the sink runs on
+/// `dst` at the link-computed arrival time, everything else stays put. The
+/// sink pointer is captured now — callers wire sinks before hooks.
+void cross_deliver(sim::ShardedEngine& engine, std::size_t dst,
+                   net::Link& link);
 
 }  // namespace hsim::harness

@@ -113,24 +113,29 @@ double WorkloadResult::jain_fairness_index() const {
 
 WorkloadResult run_workload(const WorkloadConfig& config,
                             const content::MicroscapeSite& site) {
-  // Sharded-engine dispatch: an explicit config knob wins, else HSIM_THREADS
-  // promotes existing binaries at runtime. Topologies without a nanosecond of
-  // cross-shard lookahead (zero-delay access legs) stay on the classic path.
+  const unsigned n = config.num_clients;
+  // An explicit config knob wins, else HSIM_THREADS promotes existing
+  // binaries at runtime. threads = 0, or a topology without a nanosecond of
+  // cross-shard lookahead (zero-delay access legs), runs as one shard.
   const unsigned threads =
       config.threads != 0 ? config.threads : threads_from_env();
-  if (threads != 0 && config.num_clients > 0 &&
-      workload_lookahead(config) >= 1) {
-    return run_workload_sharded(config, site, threads);
-  }
+  const sim::Time lookahead =
+      threads != 0 && n > 0 ? workload_lookahead(config) : 0;
+  // Fixed partition: shard 0 = server + shared infrastructure, clients
+  // round-robin over the remaining S-1 shards. S comes from config, never
+  // from the thread count, so results are thread-count invariant.
+  const std::size_t S =
+      lookahead < 1 ? 1
+      : config.shards != 0 ? std::max<std::size_t>(2, config.shards)
+                           : 1 + std::min<std::size_t>(n, 8);
+  const auto shard_of_client = [S](unsigned i) -> std::size_t {
+    return S == 1 ? 0 : 1 + i % (S - 1);
+  };
 
-  // Fresh registry per run (see run_once): installed before the first
-  // instrumented component so all handles bind to it.
-  obs::Registry registry;
-  obs::ScopedRegistry scoped(&registry);
-
-  const unsigned n = config.num_clients;
-  sim::EventQueue queue;
-  queue.reserve(64 + 16 * static_cast<std::size_t>(n));
+  ShardedRun run(S, threads, lookahead);
+  sim::ShardedEngine& engine = run.engine;
+  sim::EventQueue& queue0 = engine.queue(0);
+  queue0.reserve(64 + 16 * static_cast<std::size_t>(n) / S);
 
   const bool redundant = config.topology == TopologyKind::kDumbbellRedundant;
   const bool dumbbell = config.topology != TopologyKind::kStar;
@@ -142,13 +147,14 @@ WorkloadResult run_workload(const WorkloadConfig& config,
           ? std::vector<std::string>{"bnA.up", "bnA.down", "bnB.up", "bnB.down"}
           : std::vector<std::string>{"bn.up", "bn.down"};
 
-  // ---- Shared side: server host, bottleneck, aggregation points ----
+  // ---- Shared side (shard 0): server host, bottleneck, aggregation ----
+  run.use(0);
   sim::Rng server_rng(derive_seed(config.master_seed, kServerSeedSalt));
-  tcp::Host server_host(queue, kServerAddr, "server", server_rng.fork());
+  tcp::Host server_host(queue0, kServerAddr, "server", server_rng.fork());
 
   net::TraceSummarizer bottleneck_trace(kServerAddr);
-  const auto tap = [&bottleneck_trace, &queue](const net::Packet& p) {
-    bottleneck_trace.record(queue.now(), p);
+  const auto tap = [&bottleneck_trace, &queue0](const net::Packet& p) {
+    bottleneck_trace.record(queue0.now(), p);
   };
 
   net::ChannelConfig access = config.access.channel_config();
@@ -196,9 +202,9 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     bn_cfg.propagation_delay = config.bottleneck_delay;
     bn_cfg.queue_limit_packets = config.bottleneck_queue_packets;
     bottleneck_up =
-        std::make_unique<net::Link>(queue, bn_cfg, server_rng.fork());
+        std::make_unique<net::Link>(queue0, bn_cfg, server_rng.fork());
     bottleneck_down =
-        std::make_unique<net::Link>(queue, bn_cfg, server_rng.fork());
+        std::make_unique<net::Link>(queue0, bn_cfg, server_rng.fork());
     bottleneck_up->set_tap(tap);
     bottleneck_down->set_tap(tap);
 
@@ -215,13 +221,16 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     // Per-client side: host, access links, robot.
     links.reserve(2 * static_cast<std::size_t>(n));
     for (unsigned i = 0; i < n; ++i) {
+      const std::size_t cs = shard_of_client(i);
+      run.use(cs);
+      sim::EventQueue& cq = engine.queue(cs);
       sim::Rng crng(derive_seed(config.master_seed, kClientSeedSalt + i));
       auto host = std::make_unique<tcp::Host>(
-          queue, client_addr(i), "client" + std::to_string(i), crng.fork());
-      auto up = std::make_unique<net::Link>(queue, access.a_to_b, crng.fork());
-      auto down =
-          std::make_unique<net::Link>(queue, access.b_to_a, crng.fork());
+          cq, client_addr(i), "client" + std::to_string(i), crng.fork());
+      auto up = std::make_unique<net::Link>(cq, access.a_to_b, crng.fork());
+      auto down = std::make_unique<net::Link>(cq, access.b_to_a, crng.fork());
       up->set_sink(&funnel);
+      if (cs != 0) cross_deliver(engine, 0, *up);
       down->set_sink(host.get());
       fanout.routes[client_addr(i)] = down.get();
       host->attach_uplink(up.get());
@@ -231,6 +240,24 @@ WorkloadResult run_workload(const WorkloadConfig& config,
       links.push_back(std::move(up));
       links.push_back(std::move(down));
     }
+    if (S > 1) {
+      // The bottleneck downlink fans out per packet: deliveries cross to the
+      // destination client's shard, where Fanout's (read-only by now) route
+      // table hands the packet to that client's own downlink.
+      bottleneck_down->set_remote_deliver(
+          [&engine, &fanout, &shard_of_client, n](sim::Time when,
+                                                  net::Packet packet) {
+            const bool known =
+                packet.dst >= client_addr(0) && packet.dst < client_addr(n);
+            const std::size_t dst =
+                known ? shard_of_client(
+                            static_cast<unsigned>(packet.dst - client_addr(0)))
+                      : 0;
+            engine.post(dst, when, [&fanout, p = std::move(packet)]() mutable {
+              fanout.deliver(std::move(p));
+            });
+          });
+    }
   } else {
     // Client hosts first (same per-client seed scheme as the star path; the
     // access links are built by the topology from its own kTopoSeedSalt
@@ -238,11 +265,15 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     std::vector<tcp::Host*> client_hosts;
     client_hosts.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
+      const std::size_t cs = shard_of_client(i);
+      run.use(cs);
       sim::Rng crng(derive_seed(config.master_seed, kClientSeedSalt + i));
       hosts.push_back(std::make_unique<tcp::Host>(
-          queue, client_addr(i), "client" + std::to_string(i), crng.fork()));
+          engine.queue(cs), client_addr(i), "client" + std::to_string(i),
+          crng.fork()));
       client_hosts.push_back(hosts.back().get());
     }
+    run.use(0);
 
     topo::BottleneckSpec spec;
     spec.bandwidth_bps = config.bottleneck_bandwidth_bps;
@@ -254,13 +285,20 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     spec.mutate_link = config.mutate_bottleneck;
 
     topo::TopologyBuilder builder(
-        queue, sim::Rng(derive_seed(config.master_seed, kTopoSeedSalt)));
+        queue0, sim::Rng(derive_seed(config.master_seed, kTopoSeedSalt)));
+    if (S > 1) {
+      builder.set_uplink_placement(
+          [&](std::size_t i) -> topo::TopologyBuilder::UplinkPlacement {
+            const std::size_t cs = shard_of_client(static_cast<unsigned>(i));
+            return {&engine.queue(cs), run.regs[cs].get()};
+          });
+    }
     topo = redundant ? builder.dumbbell_redundant(client_hosts, &server_host,
                                                   access, spec, config.failover)
                      : builder.dumbbell(client_hosts, &server_host, access, spec);
     for (const std::string& name : bn_links) topo.link(name)->set_tap(tap);
     if (config.hop_trace) topo.set_hop_trace(config.hop_trace);
-    if (config.on_topology) config.on_topology(topo, queue);
+    if (config.on_topology) config.on_topology(topo, queue0);
 
     server = std::make_unique<server::HttpServer>(
         server_host, server::StaticSite::from_microscape(site), server_config,
@@ -268,10 +306,20 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     server->start(80);
 
     for (unsigned i = 0; i < n; ++i) {
+      const std::size_t cs = shard_of_client(i);
+      if (cs != 0) {
+        // The uplink delivers into the gate router on shard 0; the downlink
+        // (a shard-0 gate egress) delivers back to the client.
+        const std::string base = "client" + std::to_string(i);
+        cross_deliver(engine, 0, *topo.link(base + ".up"));
+        cross_deliver(engine, cs, *topo.link(base + ".down"));
+      }
+      run.use(cs);
       robots.push_back(std::make_unique<client::Robot>(
           *hosts[i], kServerAddr, 80, client_config_for(i)));
     }
   }
+  obs::set_registry(&run.master);
 
   // ---- Arrival process ----
   sim::Rng arrival_rng(derive_seed(config.master_seed, kArrivalSeedSalt));
@@ -290,23 +338,29 @@ WorkloadResult run_workload(const WorkloadConfig& config,
 
   std::vector<char> resolved(n, 0);
   for (unsigned i = 0; i < n; ++i) {
-    queue.schedule_at(arrivals[i], [&, i] {
+    engine.queue(shard_of_client(i)).schedule_at(arrivals[i], [&, i] {
       robots[i]->start_first_visit(config.root,
                                    [&resolved, i] { resolved[i] = 1; });
     });
   }
 
   if (config.epoch > 0 && config.on_epoch) {
-    for (sim::Time te = config.epoch; te <= config.horizon;
-         te += config.epoch) {
-      queue.schedule_at(te, [&config] { config.on_epoch(); });
-    }
+    // Oracles fire at barriers with every worker parked, against a scratch
+    // registry merged in shard order — so walking topology state is safe and
+    // counter monotonicity holds epoch over epoch.
+    engine.set_epochs(config.epoch, config.horizon, [&](sim::Time) {
+      obs::Registry epoch_view;
+      for (const auto& reg : run.regs) epoch_view.merge_from(*reg);
+      obs::ScopedRegistry in_epoch(&epoch_view);
+      config.on_epoch();
+    });
   }
 
-  std::size_t events = queue.run_until(config.horizon);
+  std::size_t events = engine.run_until(config.horizon);
   // Allow FIN exchanges, idle timeouts and TIME_WAIT to drain so that the
   // connection-leak accounting below reflects steady state.
-  events += queue.run_until(queue.now() + config.drain);
+  events += engine.run_until(engine.now() + config.drain);
+  obs::Registry& registry = run.merge();
 
   // ---- Collect ----
   WorkloadResult result;

@@ -147,20 +147,21 @@ struct WorkloadConfig {
   /// (scale tests want it; the 1000-client bench skips the O(N·site) cost).
   bool verify_cache = false;
 
-  /// Optional: handed the run's metrics registry before teardown. Sharded
-  /// drivers merge shard registries through Registry::merge_from here.
+  /// Optional: handed the run's metrics registry (the shard registries'
+  /// merge) before teardown.
   obs::MetricsSink* metrics_sink = nullptr;
 
-  /// Parallel engine selector. 0 (default) = the classic single-queue driver,
-  /// byte-exact with every pre-sharding build; the HSIM_THREADS environment
-  /// variable may promote it at runtime. >= 1 = the host-sharded engine
-  /// (sim/shard.hpp) with that many worker threads. The shard partition is
-  /// fixed by `shards` (not by `threads`), so every threads >= 1 value
-  /// produces byte-identical results — the thread count is purely a
-  /// performance knob. Falls back to the classic driver when the topology's
-  /// minimum cross-shard latency is below 1 ns (no usable lookahead).
+  /// Worker threads. There is one engine (harness/parallel.hpp): 0 (default)
+  /// runs it as one shard with no crossings, byte-exact with every
+  /// pre-sharding build; the HSIM_THREADS environment variable may promote
+  /// it at runtime. >= 1 partitions the hosts into `shards` shards run by
+  /// that many worker threads. The partition is fixed by `shards` (not by
+  /// `threads`), so every threads >= 1 value produces byte-identical results
+  /// — the thread count is purely a performance knob. A topology whose
+  /// minimum cross-shard latency is below 1 ns (no usable lookahead) keeps
+  /// one shard at any thread count.
   unsigned threads = 0;
-  /// Sharded runs only: how many shards to partition the hosts into
+  /// threads >= 1 only: how many shards to partition the hosts into
   /// (shard 0 = server + bottleneck, clients round-robin over the rest).
   /// 0 = auto (min(num_clients, 8) client shards). Changing the shard count
   /// changes cross-shard event interleaving, so comparisons must hold it

@@ -89,7 +89,7 @@ void ShardedEngine::inject_pending() {
   // shards, but determinism is cheaper to guarantee than to argue about.
   for (ShardState& state : shards_) {
     for (Message& msg : state.outbox) {
-      if (msg.key.when < last_round_end_) ++violations_;
+      if (msg.key.when <= last_round_last_) ++violations_;
       queues_[msg.dst]->schedule_cross(msg.key, std::move(msg.fn));
     }
     state.outbox.clear();
@@ -100,7 +100,7 @@ void ShardedEngine::run_slice(unsigned worker) {
   for (std::size_t s : assignment_[worker]) {
     tls_current_shard = s;
     if (enter_) enter_(s);
-    shards_[s].executed += queues_[s]->run_until(round_end_ - 1);
+    shards_[s].executed += queues_[s]->run_until(round_last_);
     tls_current_shard = kNoShard;
   }
 }
@@ -139,17 +139,25 @@ std::size_t ShardedEngine::run_until(Time deadline) {
       next_epoch_ += epoch_interval_;
       ++epoch_events_;
       now_ = at;
+      for (auto& q : queues_) q->advance_to(at);
       on_epoch_(at);
       continue;  // the oracle may have scheduled events; recompute
     }
 
     if (t_min == EventQueue::kNoEvent || t_min > deadline) break;
 
-    round_end_ = t_min + config_.lookahead;
-    if (on_epoch_ && next_epoch_ <= epoch_last_ && next_epoch_ < round_end_) {
-      round_end_ = next_epoch_;
+    // A round stops short of t_min + W, where the first message posted in it
+    // may land. One shard posts no messages, so only the deadline and the
+    // next epoch bound its round. (t_min <= deadline here, so neither
+    // subtraction below can overflow.)
+    round_last_ = deadline;
+    if (queues_.size() > 1 && config_.lookahead - 1 < round_last_ - t_min) {
+      round_last_ = t_min + config_.lookahead - 1;
     }
-    if (round_end_ > deadline) round_end_ = deadline + 1;
+    if (on_epoch_ && next_epoch_ <= epoch_last_ &&
+        next_epoch_ - 1 < round_last_) {
+      round_last_ = next_epoch_ - 1;
+    }
 
     if (workers == 1) {
       run_slice(0);
@@ -161,21 +169,21 @@ std::size_t ShardedEngine::run_until(Time deadline) {
         return done_.load(std::memory_order_acquire) == workers - 1;
       });
     }
-    last_round_end_ = round_end_;
+    last_round_last_ = round_last_;
   }
 
-  // Mirror EventQueue::run_until's trailing clock semantics, per shard and
-  // for the engine clock.
-  bool any_pending = false;
+  // Mirror EventQueue::run_until's trailing clock semantics: the deadline if
+  // anything is still pending (an epoch counts as an event), else the time
+  // of the last executed event. Every shard's clock then reads the same, so
+  // events scheduled from outside a slice start from the global clock.
+  bool any_pending = on_epoch_ && next_epoch_ <= epoch_last_;
   Time last_executed = 0;
   for (auto& q : queues_) {
-    if (q->next_event_time() != EventQueue::kNoEvent) {
-      q->advance_to(deadline);
-      any_pending = true;
-    }
+    any_pending = any_pending || q->next_event_time() != EventQueue::kNoEvent;
     last_executed = std::max(last_executed, q->now());
   }
   now_ = any_pending ? std::max(now_, deadline) : std::max(now_, last_executed);
+  for (auto& q : queues_) q->advance_to(now_);
 
   std::size_t after = epoch_events_;
   for (const ShardState& s : shards_) after += s.executed;

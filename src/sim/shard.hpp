@@ -1,12 +1,14 @@
 // Host-sharded parallel discrete-event engine (conservative lookahead).
 //
-// The classic engine runs one global EventQueue on one thread. This engine
-// partitions the simulation into S shards, each owning a private EventQueue
-// and the components that schedule against it (hosts, robots, the links whose
-// transmitter they drive). Shards only interact through explicit cross-shard
-// messages (post()), which a component emits instead of scheduling directly
-// on another shard's queue — net::Link's remote-delivery hook is the one
-// emitter in the stack today.
+// The one engine the harness drives. It partitions the simulation into S
+// shards, each owning a private EventQueue and the components that schedule
+// against it (hosts, robots, the links whose transmitter they drive). Shards
+// only interact through explicit cross-shard messages (post()), which a
+// component emits instead of scheduling directly on another shard's queue —
+// net::Link's remote-delivery hook is the one emitter in the stack today.
+// S = 1 is the single-queue simulation: no crossings, so every round runs to
+// the deadline (or the next epoch) and the shard's queue executes exactly
+// what a bare EventQueue would, in the same order.
 //
 // Execution follows Shadow's conservative barrier design. Let W be the
 // lookahead: the minimum latency any cross-shard message can experience
@@ -63,7 +65,7 @@ class ShardedEngine {
     /// of every cross-shard message. Must be >= 1 ns; larger is faster
     /// (longer rounds, fewer barriers) but must never exceed the true
     /// minimum cross-shard latency or causality breaks (and is counted in
-    /// lookahead_violations()).
+    /// lookahead_violations()). Unused at one shard, which has no crossings.
     Time lookahead = 1;
   };
 
@@ -78,7 +80,8 @@ class ShardedEngine {
 
   /// Engine clock, mirroring EventQueue::now() semantics across the whole
   /// simulation: after run_until(d) it reads d if any shard still has
-  /// pending events, else the time of the last executed event.
+  /// pending events, else the time of the last executed event. Every
+  /// shard's queue clock reads the same after run_until returns.
   Time now() const { return now_; }
 
   /// Posts a cross-shard event. MUST be called from within an executing
@@ -100,8 +103,8 @@ class ShardedEngine {
   /// Fires `fn(t)` at every t = interval, 2*interval, ... <= last, at a
   /// barrier with all workers parked and every event before t executed and
   /// none at or after t — the safe instant for invariant oracles to walk
-  /// shared state. Each firing counts as one executed event (parity with the
-  /// single-queue driver, which schedules epochs as real events).
+  /// shared state. Every shard's clock reads t during the call. Each firing
+  /// counts as one executed event, as if the epoch were a scheduled event.
   void set_epochs(Time interval, Time last, std::function<void(Time)> fn);
 
   /// Runs all shards in rounds until every event with time <= deadline has
@@ -146,8 +149,8 @@ class ShardedEngine {
   std::size_t epoch_events_ = 0;
 
   Time now_ = 0;
-  Time round_end_ = 0;        // exclusive bound of the round in flight
-  Time last_round_end_ = 0;   // violation watermark for late messages
+  Time round_last_ = 0;        // inclusive bound of the round in flight
+  Time last_round_last_ = -1;  // violation watermark for late messages
   std::uint64_t violations_ = 0;
 
   // Round hand-off: the coordinator bumps generation_ to release workers,

@@ -1,13 +1,14 @@
 // Thread-count determinism matrix for the host-sharded engine.
 //
-// The sharded drivers' contract (harness/parallel.hpp): for a fixed shard
+// The engine's contract (harness/parallel.hpp): for a fixed shard
 // partition, the worker thread count is a pure performance knob — T=1 and
 // T=2/4/8 runs of the same configuration are byte-identical, over every
 // surface a consumer can observe: WorkloadResult fields, the full metrics
 // registry dump, and the per-packet client trace. This suite pins that
-// contract on both canonical topologies over several seeds, and pins the
-// sharded T=1 run against the classic single-queue driver on the surfaces
-// the two share exactly.
+// contract on both canonical topologies over several seeds, pins the
+// multi-shard T=1 run against the one-shard (threads=0) run on the surfaces
+// the two share exactly, and pins the zero-lookahead case, which stays on
+// one shard at any thread count.
 //
 // On divergence each test writes the expected/actual dumps next to the test
 // binary (parallel_<name>.expected.txt / .actual.txt, and .actual.trace for
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/parallel.hpp"
 #include "harness/scenarios.hpp"
 #include "harness/soak.hpp"
 #include "harness/workload.hpp"
@@ -123,7 +125,7 @@ TEST(ParallelDeterminism, DumbbellThreadMatrixByteIdentical) {
   }
 }
 
-// The classic single-queue driver and the sharded T=1 run agree on every
+// The one-shard run (threads=0) and the multi-shard T=1 run agree on every
 // shared surface. Two gauge families legitimately differ (DESIGN.md §14):
 // peaks (taken per shard before the merge) and the client.* sample gauges,
 // where set() means "last writer wins" in one registry but the shard merge
@@ -198,8 +200,7 @@ TEST(ParallelDeterminism, RunOnceTraceThreadMatrix) {
   }
 }
 
-// run_once result fields (trace summary, page bounds, connection counters)
-// across the matrix — and the sharded trace against the classic driver's,
+// run_once: the two-shard T=1 trace against the one-shard (threads=0) run's,
 // byte for byte.
 TEST(ParallelDeterminism, RunOnceMatchesClassicDriver) {
   harness::ExperimentSpec spec = harness::golden_table4_spec();
@@ -216,8 +217,68 @@ TEST(ParallelDeterminism, RunOnceMatchesClassicDriver) {
     net::write_file("parallel_classic_vs_sharded.diff.txt", diff.report);
   }
   EXPECT_TRUE(diff.identical)
-      << "sharded T=1 trace diverged from the classic driver\n"
+      << "two-shard T=1 trace diverged from the one-shard run\n"
       << diff.report;
+}
+
+// Access legs with zero propagation delay leave no cross-shard lookahead,
+// so every thread count runs the one-shard engine: threads=4 must reproduce
+// threads=0 byte for byte — workload fingerprints with the full metrics
+// dump, the dumbbell's multi-hop trace, and run_once's client trace, result
+// fields and metrics dump.
+void zero_delay(net::ChannelConfig& channel) {
+  channel.a_to_b.propagation_delay = 0;
+  channel.b_to_a.propagation_delay = 0;
+}
+
+TEST(ParallelDeterminism, ZeroLookaheadRunsOneShardAtAnyThreadCount) {
+  for (auto topology :
+       {harness::TopologyKind::kStar, harness::TopologyKind::kDumbbell}) {
+    harness::WorkloadConfig config = matrix_workload(topology, 3);
+    config.mutate_access = zero_delay;
+    ASSERT_LT(harness::workload_lookahead(config), 1);
+    const bool dumbbell = topology == harness::TopologyKind::kDumbbell;
+    std::string dumps[2];
+    std::string hops[2];
+    for (unsigned t : {0u, 4u}) {
+      net::PacketTrace hop_trace(0);
+      config.threads = t;
+      config.hop_trace = dumbbell ? &hop_trace : nullptr;
+      const harness::WorkloadResult r =
+          run_workload(config, harness::shared_site());
+      EXPECT_EQ(r.completed(), config.num_clients);
+      dumps[t != 0] = workload_fingerprint(r);
+      hops[t != 0] = net::trace_to_text(hop_trace.records());
+      EXPECT_EQ(hop_trace.records().empty(), !dumbbell);
+    }
+    const std::string name = dumbbell ? "zero_lookahead_dumbbell"
+                                      : "zero_lookahead_star";
+    expect_identical(dumps[0], dumps[1], name);
+    expect_identical(hops[0], hops[1], name + "_hops");
+  }
+
+  harness::ExperimentSpec spec = harness::golden_table6_spec();
+  spec.mutate_channel = zero_delay;
+  ASSERT_LT(harness::run_once_lookahead(spec), 1);
+  std::string traces[2];
+  std::string results[2];
+  for (unsigned t : {0u, 4u}) {
+    spec.threads = t;
+    spec.inspect_trace = [&traces, t](const net::PacketTrace& trace) {
+      traces[t != 0] = net::trace_to_text(trace.records());
+    };
+    const harness::RunResult r = harness::run_once(spec, harness::shared_site());
+    EXPECT_TRUE(r.robot.complete);
+    results[t != 0] = "packets=" + std::to_string(r.trace.packets) +
+                      " wire=" + std::to_string(r.trace.wire_bytes) +
+                      " page=" + std::to_string(r.page_finished -
+                                                r.page_started) +
+                      " conns=" + std::to_string(r.connections_used) + "\n" +
+                      r.metrics.dump_text();
+  }
+  EXPECT_FALSE(traces[0].empty());
+  expect_identical(traces[0], traces[1], "zero_lookahead_run_once_trace");
+  expect_identical(results[0], results[1], "zero_lookahead_run_once");
 }
 
 // The soak harness's conservation/monotonicity oracles run at engine

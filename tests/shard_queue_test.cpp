@@ -10,11 +10,15 @@
 //     messages are conserved across shard boundaries (ping-pong and a real
 //     net::Link crossing), and epochs fire at barriers with exactly the
 //     events before the epoch instant executed.
+//   - One shard is a bare EventQueue: a randomized schedule / cancel /
+//     re-arm workload runs in the same order, with the same event counts and
+//     clock, through both; an epoch counts as one event.
 //   - Thread-count invariance at the engine level: a scripted multi-shard
 //     cascade produces an identical per-shard execution log at T=1/2/3/4.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -353,6 +357,137 @@ TEST(ShardedEngineTest, ClockMirrorsRunUntilSemantics) {
   EXPECT_EQ(engine.now(), 50);  // event pending beyond the deadline
   EXPECT_EQ(engine.run_until(200), 1u);
   EXPECT_EQ(engine.now(), 100);  // queue drained: time of the last event
+}
+
+// ---- One shard is a bare EventQueue ----------------------------------------
+
+/// A seeded schedule / cancel / re-arm workload against one queue. Every
+/// event logs its label and clock, then draws children (some at the same
+/// instant, to exercise insertion-order ties), cancels a random outstanding
+/// event and re-arms one of three restartable timers. It stops spawning
+/// after `budget` events, so every run drains.
+class RandomWorkload {
+ public:
+  RandomWorkload(EventQueue& q, std::uint64_t seed, int budget)
+      : q_(q), rng_(seed), budget_(budget) {
+    for (auto& t : timers_) t = std::make_unique<sim::Timer>(q);
+    for (int i = 0; i < 4; ++i) spawn(rng_.uniform(0, 40));
+  }
+
+  std::vector<std::string> log;
+
+ private:
+  void spawn(Time delay) {
+    const int label = next_label_++;
+    ids_.push_back(q_.schedule_in(delay, [this, label] { fire(label); }));
+  }
+
+  void fire(int label) {
+    log.push_back(std::to_string(label) + "@" + std::to_string(q_.now()));
+    if (next_label_ >= budget_) return;
+    const auto children = rng_.uniform(0, 3);
+    for (std::int64_t c = 0; c < children; ++c) {
+      spawn(rng_.chance(0.25) ? 0 : rng_.uniform(1, 60));
+    }
+    if (rng_.chance(0.3) && !ids_.empty()) {
+      const auto k = static_cast<std::size_t>(
+          rng_.uniform(0, static_cast<std::int64_t>(ids_.size()) - 1));
+      q_.cancel(ids_[k]);
+    }
+    if (rng_.chance(0.4)) {
+      const auto k = static_cast<std::size_t>(rng_.uniform(0, 2));
+      timers_[k]->arm(rng_.uniform(0, 80), [this, k] {
+        log.push_back("timer" + std::to_string(k) + "@" +
+                      std::to_string(q_.now()));
+      });
+    }
+  }
+
+  EventQueue& q_;
+  sim::Rng rng_;
+  int budget_;
+  int next_label_ = 0;
+  std::vector<sim::TimerId> ids_;
+  std::unique_ptr<sim::Timer> timers_[3];
+};
+
+ShardedEngine::Config one_shard() {
+  ShardedEngine::Config config;
+  config.shards = 1;
+  config.threads = 4;  // clamped to the shard count
+  return config;
+}
+
+TEST(ShardedEngineTest, OneShardMatchesBareEventQueue) {
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    EventQueue bare;
+    RandomWorkload expected(bare, seed, 400);
+    ShardedEngine engine(one_shard());
+    RandomWorkload actual(engine.queue(0), seed, 400);
+    std::size_t rounds = 0;
+    engine.set_shard_enter([&rounds](std::size_t) { ++rounds; });
+
+    // Deadlines that leave events pending, an idle gap, and a final one
+    // past the end of the workload.
+    for (Time deadline : {Time{50}, Time{50}, Time{120}, Time{400},
+                          Time{2000}, Time{100000}}) {
+      rounds = 0;
+      const std::size_t ran = bare.run_until(deadline);
+      EXPECT_EQ(engine.run_until(deadline), ran) << "deadline " << deadline;
+      EXPECT_EQ(engine.now(), bare.now()) << "deadline " << deadline;
+      EXPECT_EQ(engine.queue(0).now(), bare.now());
+      // No crossings: a round is bounded only by the deadline.
+      EXPECT_EQ(rounds, ran > 0 ? 1u : 0u) << "deadline " << deadline;
+    }
+    EXPECT_EQ(bare.next_event_time(), EventQueue::kNoEvent);
+    EXPECT_EQ(engine.queue(0).next_event_time(), EventQueue::kNoEvent);
+    EXPECT_GT(expected.log.size(), 300u);
+    EXPECT_EQ(actual.log, expected.log) << "seed " << seed;
+  }
+}
+
+TEST(ShardedEngineTest, OneShardEpochIsOneEvent) {
+  constexpr Time kInterval = 150;
+  constexpr Time kLast = 1200;
+  EventQueue bare;
+  RandomWorkload expected(bare, 9, 300);
+  std::vector<Time> bare_epochs;
+  for (Time t = kInterval; t <= kLast; t += kInterval) {
+    bare.schedule_at(t, [&bare_epochs, &bare] {
+      bare_epochs.push_back(bare.now());
+    });
+  }
+  ShardedEngine engine(one_shard());
+  RandomWorkload actual(engine.queue(0), 9, 300);
+  std::vector<Time> engine_epochs;
+  engine.set_epochs(kInterval, kLast, [&](Time at) {
+    EXPECT_EQ(engine.queue(0).now(), at);
+    engine_epochs.push_back(at);
+  });
+
+  for (Time deadline : {Time{100}, Time{450}, Time{451}, Time{1000},
+                        Time{100000}}) {
+    const std::size_t ran = bare.run_until(deadline);
+    EXPECT_EQ(engine.run_until(deadline), ran) << "deadline " << deadline;
+    EXPECT_EQ(engine.now(), bare.now()) << "deadline " << deadline;
+    EXPECT_EQ(engine_epochs, bare_epochs) << "deadline " << deadline;
+  }
+  EXPECT_EQ(engine_epochs.size(), static_cast<std::size_t>(kLast / kInterval));
+  EXPECT_EQ(actual.log, expected.log);
+}
+
+TEST(ShardedEngineTest, RoundBoundDoesNotOverflow) {
+  // t_min + W and deadline + 1 would both overflow here; the round bound must
+  // saturate at the deadline instead.
+  ShardedEngine::Config config;
+  config.shards = 2;
+  config.lookahead = sim::kNever;
+  ShardedEngine engine(config);
+  engine.queue(0).schedule_at(5, [] {});
+  engine.queue(1).schedule_at(7, [] {});
+  EXPECT_EQ(engine.run_until(sim::kNever), 2u);
+  EXPECT_EQ(engine.now(), 7);
+  EXPECT_EQ(engine.lookahead_violations(), 0u);
 }
 
 // ---- Thread-count invariance at the engine level ---------------------------
