@@ -2,10 +2,10 @@
 // paper's four protocol rows for one server/network combination and prints
 // the measured values next to the paper's published ones.
 //
-// All measured numbers flow out of the per-run metrics registry (see
-// obs/metrics.hpp): harness::run_once rebuilds Pa/Bytes/%ov from the trace.*
-// counters and Sec from the client.page_*_ns gauges — byte-identical to the
-// record-walk summaries the benches printed before the registry existed.
+// Pa/Bytes/%ov flow out of the per-run metrics registry (see obs/metrics.hpp):
+// harness::run_once rebuilds them from the trace.* counters, byte-identical
+// to a walk over the trace records. Sec is the robot's own page time
+// (RobotStats::elapsed_seconds).
 #pragma once
 
 #include <cstdio>

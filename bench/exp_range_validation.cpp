@@ -19,9 +19,9 @@ struct Outcome {
 };
 
 Outcome run(bool with_ranges, const harness::NetworkProfile& network) {
-  // All reported numbers come out of the metrics registry (trace.* for the
-  // measured packets, client.* for page time and body bytes), same as the
-  // harness-driven table benches.
+  // Packets come out of the metrics registry (trace.*), page time and body
+  // bytes out of the robot's own stats, same as the harness-driven table
+  // benches.
   obs::Registry registry;
   obs::ScopedRegistry scoped(&registry);
 
@@ -70,10 +70,8 @@ Outcome run(bool with_ranges, const harness::NetworkProfile& network) {
   queue.run_until(queue.now() + sim::seconds(600));
 
   Outcome o;
-  o.seconds = sim::to_seconds(registry.gauge_value("client.page_finished_ns") -
-                              registry.gauge_value("client.page_started_ns"));
-  o.body_bytes =
-      static_cast<double>(registry.gauge_value("client.body_bytes"));
+  o.seconds = robot.stats().elapsed_seconds();
+  o.body_bytes = static_cast<double>(robot.stats().body_bytes);
   o.packets = static_cast<double>(registry.counter_value("trace.packets"));
   return o;
 }

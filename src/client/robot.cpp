@@ -39,9 +39,6 @@ Robot::Metrics Robot::Metrics::bind() {
   if (obs::registry() == nullptr) return m;
   m.requests_sent = obs::counter_handle("client.requests_sent");
   m.retries = obs::counter_handle("client.retries");
-  m.page_started_ns = obs::gauge_handle("client.page_started_ns");
-  m.page_finished_ns = obs::gauge_handle("client.page_finished_ns");
-  m.body_bytes = obs::gauge_handle("client.body_bytes");
   m.request_latency_us = obs::histogram_handle("client.request_latency_us");
   return m;
 }
@@ -74,8 +71,6 @@ void Robot::begin(DoneCallback done) {
   done_ = std::move(done);
   stats_ = RobotStats{};
   stats_.started = host_.event_queue().now();
-  metrics_.page_started_ns.set(stats_.started);
-  metrics_.body_bytes.set(0);  // per-visit, like stats_.body_bytes
   queue_.clear();
   lanes_.clear();
   expected_responses_ = 0;
@@ -600,7 +595,6 @@ void Robot::discover_references() {
 void Robot::handle_response(const LanePtr& lane, const PendingRequest& pending,
                             http::Response response) {
   stats_.body_bytes += response.body.size();
-  metrics_.body_bytes.set(static_cast<std::int64_t>(stats_.body_bytes));
   metrics_.request_latency_us.observe(static_cast<std::uint64_t>(
       (host_.event_queue().now() - pending.issued_at) / 1000));
 
@@ -883,7 +877,6 @@ void Robot::on_page_deadline() {
   stats_.page_deadline_hit = true;
   stats_.complete = false;
   stats_.finished = host_.event_queue().now();
-  metrics_.page_finished_ns.set(stats_.finished);
   retry_timer_.cancel();
   // Everything still unresolved is attributed to the page deadline.
   for (const PendingRequest& req : queue_) {
@@ -922,7 +915,6 @@ void Robot::maybe_finish() {
   finished_ = true;
   stats_.complete = (stats_.requests_failed == 0);
   stats_.finished = host_.event_queue().now();
-  metrics_.page_finished_ns.set(stats_.finished);
   retry_timer_.cancel();
   page_timer_.cancel();
   for (const LanePtr& lane : lanes_) {

@@ -373,11 +373,10 @@ class Robot {
   /// cache overhead the paper describes).
   sim::Time client_cpu_free_ = 0;
 
-  /// client.* registry metrics. The page gauges mirror stats_.started /
-  /// stats_.finished so harness results can be rebuilt from the registry.
+  /// client.* registry metrics. Page times and body bytes live only in
+  /// stats_: a per-visit value has no meaning summed across shards.
   struct Metrics {
     obs::CounterHandle requests_sent, retries;
-    obs::GaugeHandle page_started_ns, page_finished_ns, body_bytes;
     obs::HistogramHandle request_latency_us;
     static Metrics bind();
   };

@@ -183,8 +183,6 @@ ChaosOutcome run_chaos(ChaosFault fault, client::ProtocolMode mode,
   outcome.result.robot = client.stats;
   outcome.result.server = wr.server;
   outcome.result.metrics = std::move(wr.metrics);
-  outcome.result.page_started = client.stats.started;
-  outcome.result.page_finished = client.stats.finished;
   return outcome;
 }
 

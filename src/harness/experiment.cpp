@@ -143,7 +143,7 @@ RunResult run_once(const ExperimentSpec& spec,
   client_config.tcp.recv_buffer = std::min(client_config.tcp.recv_buffer,
                                            spec.network.client_recv_buffer);
   client::Robot robot(client_host, kServerAddr, kHttpPort, client_config);
-  obs::set_registry(&run.master);
+  run.use(0);
 
   // Generous horizon: even PPP first visits finish within 120 s; the bound
   // only protects against pathological stalls.
@@ -201,8 +201,6 @@ RunResult run_once(const ExperimentSpec& spec,
   // are fed per-packet by PacketTrace::record and share fill_ratios()).
   result.trace = net::summary_from_metrics(registry);
   result.metrics = registry.snapshot();
-  result.page_started = registry.gauge_value("client.page_started_ns", 0);
-  result.page_finished = registry.gauge_value("client.page_finished_ns", 0);
   result.robot = robot.stats();
   result.server = server.stats();
   result.connections_used = client_host.total_connections_created();

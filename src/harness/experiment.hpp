@@ -73,15 +73,12 @@ struct RunResult {
   std::size_t max_parallel_connections = 0;
   double mean_packet_train = 0.0;
   std::vector<std::size_t> packet_trains;
-  /// Page bounds read back from the client.page_*_ns registry gauges; the
-  /// robot sets the gauges at the same instants it stamps RobotStats, so
-  /// seconds() is bit-identical to robot.elapsed_seconds().
-  sim::Time page_started = 0;
-  sim::Time page_finished = 0;
 
+  /// The paper's Pa and Bytes come from the trace.* counters, Sec from the
+  /// robot's own page stamps (RobotStats::started / finished).
   double packets() const { return static_cast<double>(trace.packets); }
   double bytes() const { return static_cast<double>(trace.wire_bytes); }
-  double seconds() const { return sim::to_seconds(page_finished - page_started); }
+  double seconds() const { return robot.elapsed_seconds(); }
   double overhead_percent() const { return trace.overhead_percent; }
 };
 

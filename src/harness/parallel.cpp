@@ -50,19 +50,27 @@ sim::Time run_once_lookahead(const ExperimentSpec& spec) {
                   config_min_latency(channel.b_to_a));
 }
 
-ShardedRun::ShardedRun(std::size_t shards, unsigned threads,
-                       sim::Time lookahead)
-    : engine({shards, threads, lookahead}) {
-  for (std::size_t s = 0; s < shards; ++s) {
+namespace {
+std::vector<std::unique_ptr<obs::Registry>> make_registries(std::size_t n) {
+  std::vector<std::unique_ptr<obs::Registry>> regs;
+  for (std::size_t s = 0; s < std::max<std::size_t>(n, 1); ++s) {
     regs.push_back(std::make_unique<obs::Registry>());
   }
+  return regs;
+}
+}  // namespace
+
+ShardedRun::ShardedRun(std::size_t shards, unsigned threads,
+                       sim::Time lookahead)
+    : regs(make_registries(shards)), engine({shards, threads, lookahead}) {
   engine.set_shard_enter([this](std::size_t s) { use(s); });
 }
 
 obs::Registry& ShardedRun::merge() {
-  obs::set_registry(&master);
-  for (const auto& reg : regs) master.merge_from(*reg);
-  return master;
+  obs::Registry& merged = *regs[0];
+  for (std::size_t s = 1; s < regs.size(); ++s) merged.merge_from(*regs[s]);
+  obs::set_registry(&merged);
+  return merged;
 }
 
 void cross_deliver(sim::ShardedEngine& engine, std::size_t dst,

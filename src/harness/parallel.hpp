@@ -57,7 +57,7 @@ sim::Time workload_lookahead(const WorkloadConfig& config);
 sim::Time run_once_lookahead(const ExperimentSpec& spec);
 
 /// The engine plus one metrics registry per shard. The engine's shard-enter
-/// hook installs a shard's registry before its slice runs; `master` is the
+/// hook installs a shard's registry before its slice runs; shard 0's is the
 /// ambient registry outside slices and the merge target after the run.
 struct ShardedRun {
   ShardedRun(std::size_t shards, unsigned threads, sim::Time lookahead);
@@ -66,13 +66,12 @@ struct ShardedRun {
 
   /// Installs `shard`'s registry, for components built outside any slice.
   void use(std::size_t shard) { obs::set_registry(regs[shard].get()); }
-  /// Folds the shard registries into `master` in shard order and installs
-  /// it. Exact at one shard: every merge identity holds on an empty master.
+  /// Folds shards 1..S-1 into shard 0's registry in shard order, installs it
+  /// and returns it. A one-shard run merges nothing.
   obs::Registry& merge();
 
-  obs::Registry master;
   std::vector<std::unique_ptr<obs::Registry>> regs;
-  obs::ScopedRegistry scoped{&master};
+  obs::ScopedRegistry scoped{regs[0].get()};
   sim::ShardedEngine engine;
 };
 

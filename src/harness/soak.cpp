@@ -154,7 +154,6 @@ SoakResult run_soak(const SoakConfig& config,
   wc.drain = config.drain;
   wc.verify_cache = config.verify_cache;
   wc.threads = config.threads;
-  wc.shards = config.shards;
 
   // Arm whatever recovery knob the caller left at "hang forever" — the soak
   // contract is that every client reaches a verdict.

@@ -94,7 +94,6 @@ struct SoakConfig {
   /// every worker parked, against a registry merged in shard order, so the
   /// soak stays green at any thread count.
   unsigned threads = 0;
-  std::size_t shards = 0;  // WorkloadConfig::shards passthrough
 
   /// When non-empty, a failing run writes "<prefix>.failing.trace" (the
   /// multi-hop packet trace) and "<prefix>.metrics.txt" (the registry dump)

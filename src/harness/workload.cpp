@@ -122,12 +122,9 @@ WorkloadResult run_workload(const WorkloadConfig& config,
   const sim::Time lookahead =
       threads != 0 && n > 0 ? workload_lookahead(config) : 0;
   // Fixed partition: shard 0 = server + shared infrastructure, clients
-  // round-robin over the remaining S-1 shards. S comes from config, never
-  // from the thread count, so results are thread-count invariant.
-  const std::size_t S =
-      lookahead < 1 ? 1
-      : config.shards != 0 ? std::max<std::size_t>(2, config.shards)
-                           : 1 + std::min<std::size_t>(n, 8);
+  // round-robin over the remaining S-1 = min(N, 8) shards. S never depends
+  // on the thread count, so results are thread-count invariant.
+  const std::size_t S = lookahead < 1 ? 1 : 1 + std::min<std::size_t>(n, 8);
   const auto shard_of_client = [S](unsigned i) -> std::size_t {
     return S == 1 ? 0 : 1 + i % (S - 1);
   };
@@ -319,7 +316,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
           *hosts[i], kServerAddr, 80, client_config_for(i)));
     }
   }
-  obs::set_registry(&run.master);
+  run.use(0);
 
   // ---- Arrival process ----
   sim::Rng arrival_rng(derive_seed(config.master_seed, kArrivalSeedSalt));
@@ -383,8 +380,8 @@ WorkloadResult run_workload(const WorkloadConfig& config,
           cache_matches_site(robots[i]->cache(), site, config.root);
     }
   }
-  // Registry-backed, like run_once: the summarizer feeds the trace.* metrics
-  // per packet, and summary_from_metrics rebuilds the identical summary.
+  // Registry-backed, like run_once: the bottleneck tap feeds the trace.*
+  // metrics per packet, and summary_from_metrics reads the summary back.
   result.bottleneck = net::summary_from_metrics(registry);
   result.bottleneck_syns = registry.counter_value("trace.syn_packets");
   result.tcp_retransmits = registry.counter_value("tcp.retransmits");

@@ -154,19 +154,14 @@ struct WorkloadConfig {
   /// Worker threads. There is one engine (harness/parallel.hpp): 0 (default)
   /// runs it as one shard with no crossings, byte-exact with every
   /// pre-sharding build; the HSIM_THREADS environment variable may promote
-  /// it at runtime. >= 1 partitions the hosts into `shards` shards run by
-  /// that many worker threads. The partition is fixed by `shards` (not by
-  /// `threads`), so every threads >= 1 value produces byte-identical results
+  /// it at runtime. >= 1 partitions the hosts into 1 + min(num_clients, 8)
+  /// shards (shard 0 = server + bottleneck, clients round-robin over the
+  /// rest) run by that many worker threads. The partition does not depend on
+  /// `threads`, so every threads >= 1 value produces byte-identical results
   /// — the thread count is purely a performance knob. A topology whose
   /// minimum cross-shard latency is below 1 ns (no usable lookahead) keeps
   /// one shard at any thread count.
   unsigned threads = 0;
-  /// threads >= 1 only: how many shards to partition the hosts into
-  /// (shard 0 = server + bottleneck, clients round-robin over the rest).
-  /// 0 = auto (min(num_clients, 8) client shards). Changing the shard count
-  /// changes cross-shard event interleaving, so comparisons must hold it
-  /// fixed; `threads` never affects results, `shards` may.
-  std::size_t shards = 0;
 };
 
 struct ClientOutcome {

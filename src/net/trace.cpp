@@ -11,8 +11,8 @@ namespace hsim::net {
 
 namespace {
 /// The paper's derived columns, computed one way for every summary producer
-/// (PacketTrace, TraceSummarizer, summarize_records, summary_from_metrics) so
-/// registry-backed numbers are byte-identical to the record-walking ones.
+/// (summarize_records, summary_from_metrics) so registry-backed numbers are
+/// byte-identical to the record-walking ones.
 void fill_ratios(TraceSummary& s) {
   if (s.packets == 0) return;
   const std::uint64_t header_bytes = s.packets * kIpTcpHeaderBytes;
@@ -119,46 +119,8 @@ TraceSummary summarize_records(const std::vector<TraceRecord>& records,
 
 void TraceSummarizer::record(sim::Time time, const Packet& packet) {
   metrics_.record(time, packet, /*to_server=*/packet.dst == server_addr_,
-                  /*first=*/summary_.packets == 0);
-  if (summary_.packets == 0) summary_.first_packet = time;
-  summary_.last_packet = std::max(summary_.last_packet, time);
-  summary_.first_packet = std::min(summary_.first_packet, time);
-  ++summary_.packets;
-  summary_.wire_bytes += packet.wire_size();
-  summary_.payload_bytes += packet.payload.size();
-  if (packet.dst == server_addr_) {
-    ++summary_.packets_client_to_server;
-  } else {
-    ++summary_.packets_server_to_client;
-  }
-  if (packet.tcp.has(flag::kSyn) && !packet.tcp.has(flag::kAck)) {
-    ++syn_packets_;
-  }
-}
-
-void TraceSummarizer::merge_from(const TraceSummarizer& other) {
-  if (other.summary_.packets == 0) return;
-  if (summary_.packets == 0) {
-    summary_.first_packet = other.summary_.first_packet;
-    summary_.last_packet = other.summary_.last_packet;
-  } else {
-    summary_.first_packet =
-        std::min(summary_.first_packet, other.summary_.first_packet);
-    summary_.last_packet =
-        std::max(summary_.last_packet, other.summary_.last_packet);
-  }
-  summary_.packets += other.summary_.packets;
-  summary_.wire_bytes += other.summary_.wire_bytes;
-  summary_.payload_bytes += other.summary_.payload_bytes;
-  summary_.packets_client_to_server += other.summary_.packets_client_to_server;
-  summary_.packets_server_to_client += other.summary_.packets_server_to_client;
-  syn_packets_ += other.syn_packets_;
-}
-
-TraceSummary TraceSummarizer::summarize() const {
-  TraceSummary s = summary_;
-  fill_ratios(s);
-  return s;
+                  /*first=*/!seen_packet_);
+  seen_packet_ = true;
 }
 
 namespace {

@@ -145,13 +145,14 @@ class PacketTrace {
   TraceMetrics metrics_ = TraceMetrics::bind();
 };
 
-/// Streaming trace summarizer for many-client workloads.
+/// The many-client workloads' bottleneck tap.
 ///
-/// Accumulates the same aggregate TraceSummary a PacketTrace would compute,
-/// but without storing per-packet records — a 1000-client run pushes millions
-/// of packets through the bottleneck, and only the aggregate is wanted there.
-/// Direction is classified against the *server* address (everything with
-/// dst == server is client-to-server), which works for any number of clients.
+/// Feeds the trace.* metrics (TraceMetrics) without storing per-packet
+/// records — a 1000-client run pushes millions of packets through the
+/// bottleneck, and only the aggregate is wanted there; summary_from_metrics
+/// reads it back. Direction is classified against the *server* address
+/// (everything with dst == server is client-to-server), which works for any
+/// number of clients.
 class TraceSummarizer {
  public:
   explicit TraceSummarizer(IpAddr server_addr = 0)
@@ -159,21 +160,9 @@ class TraceSummarizer {
 
   void record(sim::Time time, const Packet& packet);
 
-  TraceSummary summarize() const;
-
-  /// Client-initiated SYNs observed (connection churn on the wire).
-  std::uint64_t syn_packets() const { return syn_packets_; }
-  std::uint64_t packets() const { return summary_.packets; }
-
-  /// Shard aggregation: fold another summarizer's counts into this one.
-  /// Associative and commutative (asserted by metrics_property_test), so a
-  /// partitioned workload can summarize per shard and merge in any order.
-  void merge_from(const TraceSummarizer& other);
-
  private:
   IpAddr server_addr_;
-  TraceSummary summary_;  // ratios filled in by summarize()
-  std::uint64_t syn_packets_ = 0;
+  bool seen_packet_ = false;  // trace.first_packet_ns is set once
   TraceMetrics metrics_ = TraceMetrics::bind();
 };
 

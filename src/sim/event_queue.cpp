@@ -31,6 +31,13 @@ bool EventQueue::cancel(TimerId id) {
   return cancelled_.insert(id.value).second;
 }
 
+std::size_t EventQueue::pending() const {
+  return static_cast<std::size_t>(
+      std::count_if(heap_.begin(), heap_.end(), [this](const Event& ev) {
+        return cancelled_.count(ev.id) == 0;
+      }));
+}
+
 EventQueue::Event EventQueue::pop_event() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Event ev = std::move(heap_.back());

@@ -69,8 +69,11 @@ class EventQueue {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Cancels a pending event. Returns true if the event had not yet run and
-  /// was successfully cancelled.
+  /// Cancels a pending event. Returns false for a null or never-issued id
+  /// and for an id already cancelled. Cancellation is lazy, so an issued id
+  /// whose event already ran also returns true (the first time): nothing
+  /// runs, and the stale id only holds a set entry until the next
+  /// compaction.
   bool cancel(TimerId id);
 
   /// Runs the single next event. Returns false if the queue is empty.
@@ -86,8 +89,10 @@ class EventQueue {
   /// Runs events for `duration` from the current time.
   std::size_t run_for(Time duration) { return run_until(now_ + duration); }
 
-  /// Number of pending (non-cancelled) events.
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  /// Number of pending (non-cancelled) events: the heap's live entries.
+  /// O(heap); `cancelled_` may also hold ids whose events already ran, so
+  /// its size is no count of the dead heap entries.
+  std::size_t pending() const;
 
   bool empty() const { return pending() == 0; }
 

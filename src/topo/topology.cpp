@@ -95,7 +95,7 @@ Router* Topology::add_router(const std::string& name, sim::EventQueue& queue) {
 void TopologyBuilder::wire_client_legs(Topology& topo,
                                        const std::vector<tcp::Host*>& clients,
                                        const net::ChannelConfig& access,
-                                       Router* ingress, Router* fanout) {
+                                       Router* gate) {
   for (std::size_t i = 0; i < clients.size(); ++i) {
     tcp::Host* client = clients[i];
     const std::string base = "client" + std::to_string(i);
@@ -114,36 +114,13 @@ void TopologyBuilder::wire_client_legs(Topology& topo,
     }
     net::Link* down = topo.add_link(base + ".down", queue_, access.b_to_a,
                                     rng_.fork());
-    up->set_sink(ingress);
+    up->set_sink(gate);
     down->set_sink(client);
     client->attach_uplink(up);
     const std::size_t egress =
-        fanout->add_egress(down, unlimited_queue(fanout->name() + "." + base));
-    fanout->add_route(client->addr(), egress);
+        gate->add_egress(down, unlimited_queue(gate->name() + "." + base));
+    gate->add_route(client->addr(), egress);
   }
-}
-
-Topology TopologyBuilder::star(const std::vector<tcp::Host*>& clients,
-                               tcp::Host* server,
-                               const net::ChannelConfig& access) {
-  Topology topo;
-  Router* hub = topo.add_router("hub", queue_);
-
-  // Server legs use the same access channel shape as the clients: the hub is
-  // a pure crossbar, not a bottleneck.
-  net::Link* server_up = topo.add_link("server.up", queue_, access.a_to_b,
-                                       rng_.fork());
-  net::Link* server_down = topo.add_link("server.down", queue_, access.b_to_a,
-                                         rng_.fork());
-  server_up->set_sink(hub);
-  server_down->set_sink(server);
-  server->attach_uplink(server_up);
-  const std::size_t to_server =
-      hub->add_egress(server_down, unlimited_queue("hub.server"));
-  hub->add_route(server->addr(), to_server);
-
-  wire_client_legs(topo, clients, access, hub, hub);
-  return topo;
 }
 
 Topology TopologyBuilder::dumbbell(const std::vector<tcp::Host*>& clients,
@@ -183,7 +160,7 @@ Topology TopologyBuilder::dumbbell(const std::vector<tcp::Host*>& clients,
       core->add_egress(server_down, unlimited_queue("core.server"));
   core->add_route(server->addr(), to_server);
 
-  wire_client_legs(topo, clients, access, gate, gate);
+  wire_client_legs(topo, clients, access, gate);
   return topo;
 }
 
@@ -237,36 +214,7 @@ Topology TopologyBuilder::dumbbell_redundant(
       core->add_egress(server_down, unlimited_queue("core.server"));
   core->add_route(server->addr(), to_server);
 
-  wire_client_legs(topo, clients, access, gate, gate);
-  return topo;
-}
-
-Topology TopologyBuilder::shared_bottleneck(
-    const std::vector<tcp::Host*>& clients, tcp::Host* server,
-    const net::ChannelConfig& access, const BottleneckSpec& bottleneck) {
-  Topology topo;
-  Router* gate = topo.add_router("gate", queue_);
-
-  const net::LinkConfig bn_cfg = bottleneck_link_config(bottleneck);
-  net::Link* bn_up = topo.add_link("bn.up", queue_, bn_cfg, rng_.fork());
-  // The return direction is the server's own transmitter: it keeps the
-  // bottleneck's bandwidth/delay but its queueing is the link's plain
-  // drop-tail (no discipline — use dumbbell() when that matters).
-  net::LinkConfig down_cfg = bn_cfg;
-  down_cfg.queue_limit_packets =
-      bottleneck.queue.drop_tail.limit_packets != 0
-          ? bottleneck.queue.drop_tail.limit_packets
-          : 128;
-  net::Link* bn_down = topo.add_link("bn.down", queue_, down_cfg, rng_.fork());
-  bn_up->set_sink(server);
-  bn_down->set_sink(gate);
-  server->attach_uplink(bn_down);
-
-  const std::size_t to_server = gate->add_egress(
-      bn_up, make_queue_disc(bottleneck.queue, "bn.up", rng_.fork()));
-  gate->add_route(server->addr(), to_server);
-
-  wire_client_legs(topo, clients, access, gate, gate);
+  wire_client_legs(topo, clients, access, gate);
   return topo;
 }
 

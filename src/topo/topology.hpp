@@ -2,16 +2,8 @@
 //
 // The builder wires caller-owned tcp::Hosts into router/link graphs and
 // returns a Topology that owns the routers, links and queue disciplines.
-// Three canonical shapes cover the many-client experiments:
-//
-//   star — contention-free reference: one hub router with a dedicated duplex
-//   access channel per client and per server, every egress queue unlimited.
-//   N clients never compete for bandwidth (each leg is private), which is
-//   exactly the PR-3 behaviour the dumbbell exists to correct.
-//
-//       client0 ── access ──┐
-//       client1 ── access ──┤ hub ── access ── server
-//       clientN ── access ──┘
+// One shape covers the many-client experiments (dumbbell_redundant adds a
+// backup bottleneck pair to it):
 //
 //   dumbbell — the contention shape: per-client access legs into a "gate"
 //   router, one shared bottleneck link pair (each direction carrying the
@@ -22,12 +14,6 @@
 //       client0 ── access ──┐                      ┌── attach ── server
 //       client1 ── access ──┤ gate ══ bottleneck ══ core
 //       clientN ── access ──┘   (qdisc each way)
-//
-//   shared_bottleneck — the minimal N-behind-one-link shape: client access
-//   legs into one router whose single disciplined egress is the bottleneck
-//   into the server; the return path is the server's own bottleneck link
-//   fanning out at the router. (Only the client→server direction carries a
-//   queue discipline — use the dumbbell when both directions matter.)
 //
 // All randomness (RED drop streams, link jitter) forks off the one rng the
 // builder is given, so a topology is reproducible from a single seed.
@@ -76,7 +62,7 @@ struct FailoverSpec {
 /// stay caller-owned. Links and routers are reachable by name:
 ///   links:   "client<i>.up" / "client<i>.down", "bn.up" / "bn.down",
 ///            "server.up" / "server.down"
-///   routers: "hub" (star), "gate" / "core" (dumbbell, shared_bottleneck)
+///   routers: "gate" / "core"
 class Topology {
  public:
   Router* router(std::string_view name) const;
@@ -139,24 +125,12 @@ class TopologyBuilder {
     uplink_placement_ = std::move(fn);
   }
 
-  /// Contention-free star (see file comment). Every egress queue is an
-  /// unlimited DropTail: the hub never drops, all loss behaviour stays in
-  /// the access links' own models.
-  Topology star(const std::vector<tcp::Host*>& clients, tcp::Host* server,
-                const net::ChannelConfig& access);
-
   /// Shared dumbbell bottleneck (see file comment). `access` shapes each
   /// client's private legs; `bottleneck` shapes the shared pair, including
   /// the per-direction queue discipline.
   Topology dumbbell(const std::vector<tcp::Host*>& clients, tcp::Host* server,
                     const net::ChannelConfig& access,
                     const BottleneckSpec& bottleneck);
-
-  /// N clients directly behind one disciplined bottleneck into the server.
-  Topology shared_bottleneck(const std::vector<tcp::Host*>& clients,
-                             tcp::Host* server,
-                             const net::ChannelConfig& access,
-                             const BottleneckSpec& bottleneck);
 
   /// Dumbbell with a redundant bottleneck: the shape of dumbbell(), plus a
   /// second (backup) bottleneck pair between gate and core. Both directions
@@ -173,11 +147,10 @@ class TopologyBuilder {
                               const FailoverSpec& failover);
 
  private:
-  /// Wires client i's duplex access legs: uplink into `ingress`, downlink
-  /// out of egress `i`-th port of `fanout` (routes added by caller).
+  /// Wires client i's duplex access legs: uplink into `gate`, downlink out
+  /// of a per-client egress of `gate` routed to the client's address.
   void wire_client_legs(Topology& topo, const std::vector<tcp::Host*>& clients,
-                        const net::ChannelConfig& access, Router* ingress,
-                        Router* fanout);
+                        const net::ChannelConfig& access, Router* gate);
 
   sim::EventQueue& queue_;
   sim::Rng rng_;

@@ -118,6 +118,22 @@ TEST(EventQueueTest, PendingCountExcludesCancelled) {
   EXPECT_EQ(q.pending(), 1u);
 }
 
+TEST(EventQueueTest, CancelAfterRunLeavesQueueEmpty) {
+  EventQueue q;
+  const TimerId ran = q.schedule_at(milliseconds(1), [] {});
+  q.run();
+  // Lazy cancellation accepts an id whose event already ran; the stale id
+  // must not leak into pending() or empty().
+  EXPECT_TRUE(q.cancel(ran));
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(q.empty());
+  q.schedule_at(milliseconds(2), [] {});
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(TimerTest, ArmAndFire) {
   EventQueue q;
   Timer t(q);

@@ -22,7 +22,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -398,16 +397,8 @@ TEST(NetemDeterminism, SameSeedSameResults) {
 TEST(NetemDeterminism, ThreadCountDoesNotChangeResults) {
   // The profile lookup is time-indexed, so the sharded engine's lookahead
   // must stay a valid lower bound (min_extra_latency tightening) for the
-  // two-shard run to replay the classic event order exactly. Counters and
-  // non-sample gauges must match the classic driver; the client.* sample
-  // gauges legitimately merge differently across shards (DESIGN.md §14).
-  const auto additive = [](const std::map<std::string, std::int64_t>& gauges) {
-    std::map<std::string, std::int64_t> out;
-    for (const auto& [name, value] : gauges) {
-      if (name.rfind("client.", 0) != 0) out.emplace(name, value);
-    }
-    return out;
-  };
+  // sharded run to replay the classic event order exactly: the whole
+  // registry dump must match the one-shard run (DESIGN.md §14).
   harness::WorkloadConfig cfg = small_mobile_fleet();
   const harness::WorkloadResult classic =
       harness::run_workload(cfg, harness::shared_site());
@@ -415,10 +406,7 @@ TEST(NetemDeterminism, ThreadCountDoesNotChangeResults) {
     cfg.threads = threads;
     const harness::WorkloadResult sharded =
         harness::run_workload(cfg, harness::shared_site());
-    EXPECT_EQ(classic.metrics.counters, sharded.metrics.counters)
-        << "threads=" << threads;
-    EXPECT_EQ(additive(classic.metrics.gauges),
-              additive(sharded.metrics.gauges))
+    EXPECT_EQ(classic.metrics.dump_text(), sharded.metrics.dump_text())
         << "threads=" << threads;
   }
 }

@@ -441,6 +441,8 @@ TEST(ShardedEngineTest, OneShardMatchesBareEventQueue) {
     }
     EXPECT_EQ(bare.next_event_time(), EventQueue::kNoEvent);
     EXPECT_EQ(engine.queue(0).next_event_time(), EventQueue::kNoEvent);
+    EXPECT_TRUE(bare.empty());
+    EXPECT_TRUE(engine.queue(0).empty());
     EXPECT_GT(expected.log.size(), 300u);
     EXPECT_EQ(actual.log, expected.log) << "seed " << seed;
   }
