@@ -42,7 +42,6 @@ harness::WorkloadConfig base_config(client::ProtocolMode mode,
   cfg.bottleneck_queue_packets = 64;  // tight: contention must be visible
   cfg.bottleneck_queue.kind = topo::QueueDiscKind::kRed;
   cfg.master_seed = 42;
-  cfg.cc = cc;
 
   cfg.server = server::apache_config();
   cfg.server.listen_backlog = 128;
@@ -54,6 +53,8 @@ harness::WorkloadConfig base_config(client::ProtocolMode mode,
   cfg.client.retry_backoff = sim::milliseconds(200);
   cfg.client.page_deadline = sim::seconds(420);
   cfg.client.retry_server_errors = true;
+  cfg.client.tcp.cc = cc;
+  cfg.server.tcp.cc = cc;
   return cfg;
 }
 

@@ -34,7 +34,7 @@ int main() {
   for (const harness::ChaosFault fault : faults) {
     for (const client::ProtocolMode mode : modes) {
       const harness::ChaosOutcome outcome =
-          harness::run_chaos(fault, mode, site, /*seed=*/1);
+          harness::run_chaos(harness::chaos_spec(fault, mode), site);
       const client::RobotStats& robot = outcome.result.robot;
       std::printf("%-16s %-34s %7.2f %8.0f %7zu %7zu %9zu %6s\n",
                   std::string(to_string(fault)).c_str(),

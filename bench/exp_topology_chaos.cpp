@@ -32,15 +32,13 @@ using namespace hsim;
 
 harness::SoakConfig base_config(client::ProtocolMode mode) {
   harness::SoakConfig config;
-  config.num_clients = 100;
-  config.client = harness::robot_config(mode);
-  config.client.max_attempts = 10;
-  config.client.request_deadline = sim::seconds(5);
-  config.client.retry_backoff = sim::milliseconds(500);
-  config.server = server::apache_config();
-  config.horizon = sim::seconds(120);
-  config.drain = sim::seconds(60);
-  config.master_seed = 7;
+  harness::WorkloadConfig& wc = config.workload;
+  wc.client = harness::robot_config(mode);
+  wc.client.max_attempts = 10;
+  wc.client.request_deadline = sim::seconds(5);
+  wc.client.retry_backoff = sim::milliseconds(500);
+  wc.server = server::apache_config();
+  wc.master_seed = 7;
   return config;
 }
 
@@ -64,8 +62,10 @@ void print_row(client::ProtocolMode mode, const char* variant,
       result.workload.p95_page_seconds(),
       static_cast<unsigned long long>(result.retries),
       static_cast<unsigned long long>(result.retry_budget_exhausted),
-      static_cast<unsigned long long>(result.failovers),
-      static_cast<unsigned long long>(result.failbacks),
+      static_cast<unsigned long long>(
+          result.workload.metrics.counter("topo.router.failovers")),
+      static_cast<unsigned long long>(
+          result.workload.metrics.counter("topo.router.failbacks")),
       static_cast<double>(result.body_bytes) / (1024.0 * 1024.0), vs_clean);
   if (!result.ok()) {
     std::printf("  !! soak oracles: %zu violation(s); first: %s\n",
@@ -119,14 +119,14 @@ int main() {
     std::uint64_t storm_retries = 0, budgeted_retries = 0;
     for (const char* variant : {"clean", "storm", "budgeted"}) {
       harness::SoakConfig config = base_config(mode);
-      config.topology = harness::TopologyKind::kDumbbell;
+      config.workload.topology = harness::TopologyKind::kDumbbell;
       if (std::string(variant) != "clean") {
         config.timeline = {{harness::TopoFaultKind::kBottleneckFlap, "",
                             sim::seconds(3), sim::seconds(20)}};
       }
       if (std::string(variant) == "budgeted") {
-        config.client.retry_budget = 3;
-        config.client.retry_jitter = 0.5;
+        config.workload.client.retry_budget = 3;
+        config.workload.client.retry_jitter = 0.5;
       }
       const harness::SoakResult result = harness::run_soak(config, site);
       if (std::string(variant) == "clean") {

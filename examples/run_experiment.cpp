@@ -19,7 +19,7 @@
 // --profile overlays a time-varying netem link profile on the access path:
 // "flat" (the identity — byte-exact with the static link), a built-in name
 // (3g-drive, 4g-walk, lte-stationary, wifi-congested) or a profiles/*.netem
-// file. Unset, the HSIM_PROFILE environment variable is consulted.
+// file. Unset, the access path keeps its static links.
 // --content swaps the 1997 GIF payloads for WebP-class ("modern") or
 // AVIF-class ("avif") encodings of the same page.
 //
@@ -86,7 +86,7 @@ struct Options {
   harness::ChaosFault chaos = harness::ChaosFault::kNone;
   bool chaos_set = false;  // "--chaos none" still arms the recovery knobs
   tcp::CcKind cc = tcp::CcKind::kReno;
-  std::string profile;     // netem overlay; empty consults HSIM_PROFILE
+  std::string profile;     // netem overlay; empty = static links
   std::string content = "paper";
 };
 

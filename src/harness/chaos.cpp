@@ -1,7 +1,6 @@
 #include "harness/chaos.hpp"
 
-#include <algorithm>
-#include <cstdlib>
+#include <utility>
 
 namespace hsim::harness {
 
@@ -129,32 +128,27 @@ bool cache_matches_site(const client::Cache& cache,
   return true;
 }
 
-ChaosOutcome run_chaos(ChaosFault fault, client::ProtocolMode mode,
-                       const content::MicroscapeSite& site,
-                       std::uint64_t seed, TopologyKind topology) {
+ExperimentSpec chaos_spec(ChaosFault fault, client::ProtocolMode mode,
+                          std::uint64_t seed) {
   ExperimentSpec spec;
   spec.network = wan_profile();
   spec.client = robot_config(mode);
   spec.scenario = Scenario::kFirstVisit;
   spec.seed = seed;
   apply_chaos(fault, spec);
-  // CI matrix hook: HSIM_CC=reno|newreno|cubic|bbr reruns the whole chaos
-  // suite under a different congestion-control module without a rebuild.
-  // Unset or unknown values keep the configs' default (Reno, byte-exact).
-  if (const char* env_cc = std::getenv("HSIM_CC")) {
-    tcp::CcKind kind = tcp::CcKind::kReno;
-    if (tcp::parse_cc_kind(env_cc, &kind)) {
-      spec.client.tcp.cc = kind;
-      spec.server.tcp.cc = kind;
-    }
-  }
+  return spec;
+}
 
+ChaosOutcome run_chaos(const ExperimentSpec& spec,
+                       const content::MicroscapeSite& site,
+                       TopologyKind topology) {
   ChaosOutcome outcome;
   if (topology == TopologyKind::kStar) {
-    spec.inspect_robot = [&](client::Robot& robot) {
+    ExperimentSpec star = spec;
+    star.inspect_robot = [&](client::Robot& robot) {
       outcome.byte_exact = cache_matches_site(robot.cache(), site);
     };
-    outcome.result = run_once(spec, site);
+    outcome.result = run_once(star, site);
     return outcome;
   }
 
@@ -166,11 +160,12 @@ ChaosOutcome run_chaos(ChaosFault fault, client::ProtocolMode mode,
   wc.num_clients = 1;
   wc.arrivals = ArrivalProcess::kFixedInterval;
   wc.topology = topology;
-  wc.access = wan_profile();
+  wc.access = spec.network;
   wc.mutate_access = spec.mutate_channel;
+  wc.profile = spec.profile;
   wc.server = spec.server;
   wc.client = spec.client;
-  wc.master_seed = seed;
+  wc.master_seed = spec.seed;
   wc.verify_cache = true;
   // The armed page deadline bounds the retrieval; keep the workload horizon
   // comfortably past it so the verdict is the robot's, not the harness's.

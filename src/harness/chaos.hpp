@@ -50,17 +50,25 @@ struct ChaosOutcome {
   bool byte_exact = false;  // cache_matches_site after the run
 };
 
-/// Runs one first-visit retrieval of `site` under `fault` with protocol
-/// `mode` on the WAN profile. Deterministic for a given seed.
+/// The chaos experiment: one first-visit retrieval with protocol `mode` on
+/// the WAN profile, `fault` installed and the client's recovery armed
+/// (apply_chaos). Callers vary any other setting — CC module, netem
+/// profile — on the returned spec before run_chaos.
+ExperimentSpec chaos_spec(ChaosFault fault, client::ProtocolMode mode,
+                          std::uint64_t seed = 1);
+
+/// Runs `spec` (usually from chaos_spec) against `site` and checks the cache
+/// byte-for-byte; it replaces spec.inspect_robot to do so. Deterministic for
+/// a given spec.
 ///
 /// `topology` selects the substrate: kStar is the legacy single-channel
 /// run_once path (byte-exact with earlier builds); kDumbbell and
-/// kDumbbellRedundant drive the same fault regime through the router /
-/// queue-discipline topologies, with the channel mutation applied to the
-/// client's access leg. Every regime terminates on every substrate.
-ChaosOutcome run_chaos(ChaosFault fault, client::ProtocolMode mode,
+/// kDumbbellRedundant drive one client through the router /
+/// queue-discipline topologies, with spec.network, spec.profile and the
+/// channel mutation applied to the client's access leg. Every regime
+/// terminates on every substrate.
+ChaosOutcome run_chaos(const ExperimentSpec& spec,
                        const content::MicroscapeSite& site,
-                       std::uint64_t seed = 1,
                        TopologyKind topology = TopologyKind::kStar);
 
 }  // namespace hsim::harness

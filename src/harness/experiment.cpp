@@ -66,11 +66,9 @@ client::ClientConfig msie_client_config(bool broken_revalidation) {
 RunResult run_once(const ExperimentSpec& spec,
                    const content::MicroscapeSite& site) {
   // Shard 0 = client side, shard S-1 = server side: two shards when threads
-  // are asked for (config knob, else HSIM_THREADS) and the channel has a
-  // nanosecond of lookahead, else one.
-  const unsigned threads =
-      spec.threads != 0 ? spec.threads : threads_from_env();
-  const sim::Time lookahead = threads != 0 ? run_once_lookahead(spec) : 0;
+  // are asked for and the channel has a nanosecond of lookahead, else one.
+  const sim::Time lookahead =
+      spec.threads != 0 ? run_once_lookahead(spec) : 0;
   const std::size_t S = lookahead < 1 ? 1 : 2;
   const std::size_t client_shard = 0;
   const std::size_t server_shard = S - 1;
@@ -78,7 +76,7 @@ RunResult run_once(const ExperimentSpec& spec,
   // One registry per shard, installed before any instrumented component is
   // built so every Metrics::bind() resolves against it. The registries die
   // with this frame; RunResult carries a Snapshot of their merge instead.
-  ShardedRun run(S, threads, lookahead);
+  ShardedRun run(S, spec.threads, lookahead);
   sim::ShardedEngine& engine = run.engine;
   sim::EventQueue& client_queue = engine.queue(client_shard);
   sim::EventQueue& server_queue = engine.queue(server_shard);

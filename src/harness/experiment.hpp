@@ -29,9 +29,8 @@ struct ExperimentSpec {
   std::uint64_t seed = 1;
   /// Time-varying link profile overlaid on the channel (netem subsystem):
   /// "flat", a built-in name ("3g-drive", "4g-walk", "lte-stationary",
-  /// "wifi-congested") or a profiles/*.netem file path. Empty consults the
-  /// HSIM_PROFILE environment variable; still empty = the legacy static
-  /// channel. Applied after mutate_channel, so chaos regimes compose.
+  /// "wifi-congested") or a profiles/*.netem file path. Empty = the legacy
+  /// static channel. Applied after mutate_channel, so chaos regimes compose.
   std::string profile;
   /// Optional: factory producing a payload sizer per link direction (the
   /// modem-compression model; each direction gets its own dictionary, as
@@ -54,11 +53,11 @@ struct ExperimentSpec {
   /// can aggregate counters/histograms across runs.
   obs::MetricsSink* metrics_sink = nullptr;
   /// Worker threads, mirroring WorkloadConfig::threads. There is one engine
-  /// (harness/parallel.hpp): 0 runs it as one shard with no crossings
-  /// (HSIM_THREADS may promote it); >= 1 splits it into a client shard and a
-  /// server shard, unless the channel has less than 1 ns of lookahead, which
-  /// keeps one shard. The shard count is fixed at 2, so every threads >= 1
-  /// value is byte-identical.
+  /// (harness/parallel.hpp): 0 runs it as one shard with no crossings;
+  /// >= 1 splits it into a client shard and a server shard, unless the
+  /// channel has less than 1 ns of lookahead, which keeps one shard. The
+  /// shard count is fixed at 2, so every threads >= 1 value is
+  /// byte-identical.
   unsigned threads = 0;
 };
 

@@ -1,14 +1,8 @@
 #include "harness/network.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 namespace hsim::harness {
-
-std::string profile_from_env() {
-  const char* env = std::getenv("HSIM_PROFILE");
-  return env != nullptr ? std::string(env) : std::string();
-}
 
 std::optional<netem::PathProfile> resolve_profile(const std::string& value,
                                                   bool* flat) {
@@ -40,13 +34,12 @@ std::optional<netem::PathProfile> resolve_profile(const std::string& value,
 
 void apply_profile_overlay(const std::string& value, net::ChannelConfig& cfg,
                            const char* label_prefix) {
-  const std::string effective = value.empty() ? profile_from_env() : value;
   bool flat = false;
-  std::optional<netem::PathProfile> profile = resolve_profile(effective, &flat);
+  std::optional<netem::PathProfile> profile = resolve_profile(value, &flat);
   if (flat) {
     // Identity oracle: each direction's own static bandwidth as a constant
     // single-segment timeline, no radio, no queue override. Byte-exact with
-    // no overlay — the CI goldens re-run under HSIM_PROFILE=flat to pin it.
+    // no overlay — the golden suite re-runs every golden under "flat".
     auto a = std::make_shared<netem::LinkDynamics>();
     a->profile = netem::Profile::constant(cfg.a_to_b.bandwidth_bps);
     auto b = std::make_shared<netem::LinkDynamics>();

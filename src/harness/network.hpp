@@ -57,10 +57,8 @@ inline NetworkProfile mobile_profile() {
 
 // ---- Time-varying profile overlay (netem subsystem) -----------------------
 
-/// The HSIM_PROFILE environment value, or "" when unset.
-std::string profile_from_env();
-
-/// Resolves a --profile / HSIM_PROFILE value to a path profile:
+/// Resolves a profile setting (ExperimentSpec::profile, --profile) to a path
+/// profile:
 ///   ""      -> nullopt (no overlay);
 ///   "flat"  -> nullopt, with *flat set: the caller overlays the identity
 ///              profile (each link's own static bandwidth as a single
@@ -71,12 +69,11 @@ std::string profile_from_env();
 std::optional<netem::PathProfile> resolve_profile(const std::string& value,
                                                   bool* flat);
 
-/// Applies the resolved overlay onto a duplex channel config, consulting
-/// HSIM_PROFILE when `value` is empty. This is called by every driver path
-/// (run_once, run_workload and the engine-lookahead calculators) AFTER the
+/// Applies the resolved overlay onto a duplex channel config; an empty
+/// `value` leaves it static. This is called by every driver path (run_once,
+/// run_workload and the engine-lookahead calculators) AFTER the
 /// mutate_channel/mutate_access fault hooks, so chaos regimes compose with
-/// any profile. See net::apply_path_profile for
-/// `label_prefix`.
+/// any profile. See net::apply_path_profile for `label_prefix`.
 void apply_profile_overlay(const std::string& value, net::ChannelConfig& cfg,
                            const char* label_prefix = nullptr);
 

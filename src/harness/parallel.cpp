@@ -1,7 +1,6 @@
 #include "harness/parallel.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "harness/chaos.hpp"
@@ -13,15 +12,6 @@ namespace hsim::harness {
 // identical to net::Link::min_remote_latency(), usable before any link
 // exists (the engine needs its lookahead before the queues it carries).
 // Netem dynamics only ever raise the bound (minimum extra segment latency).
-
-unsigned threads_from_env() {
-  const char* env = std::getenv("HSIM_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || (end != nullptr && *end != '\0')) return 0;
-  return static_cast<unsigned>(std::min(v, 1024ul));
-}
 
 sim::Time workload_lookahead(const WorkloadConfig& config) {
   net::ChannelConfig access = config.access.channel_config();

@@ -43,12 +43,6 @@
 
 namespace hsim::harness {
 
-/// HSIM_THREADS parsed as an unsigned, or 0 when unset/unparsable. The
-/// runtime analogue of the configs' `threads` field: it lets CI rerun any
-/// existing binary (golden tests, benches, the chaos matrix) on several
-/// shards without a rebuild, mirroring the HSIM_CC hook.
-unsigned threads_from_env();
-
 /// Conservative lookahead available to a sharded run of this configuration:
 /// the minimum worst-case-jitter latency over every link that would cross a
 /// shard boundary. < 1 ns means the topology cannot be split, and the run

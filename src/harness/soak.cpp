@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "net/trace_io.hpp"
@@ -26,6 +27,16 @@ bool SoakResult::ok() const {
     if (c.stats.requests_failed != c.stats.failures.size()) return false;
   }
   return true;
+}
+
+WorkloadConfig soak_workload() {
+  WorkloadConfig wc;
+  wc.num_clients = 100;
+  wc.topology = TopologyKind::kDumbbellRedundant;
+  wc.horizon = sim::seconds(120);
+  wc.drain = sim::seconds(60);
+  wc.epoch = sim::seconds(5);
+  return wc;
 }
 
 std::vector<TopoFaultEvent> default_soak_timeline() {
@@ -132,34 +143,23 @@ void check_monotonic(SoakResult& out, const obs::Snapshot& prev,
 
 SoakResult run_soak(const SoakConfig& config,
                     const content::MicroscapeSite& site) {
+  if (config.workload.topology == TopologyKind::kStar) {
+    throw std::invalid_argument("run_soak needs a dumbbell topology");
+  }
+  if (config.workload.mutate_bottleneck || config.workload.hop_trace ||
+      config.workload.on_topology || config.workload.on_epoch) {
+    throw std::invalid_argument(
+        "run_soak owns mutate_bottleneck, hop_trace, on_topology and "
+        "on_epoch");
+  }
   SoakResult out;
-
-  WorkloadConfig wc;
-  wc.num_clients = config.num_clients;
-  wc.arrivals = config.arrivals;
-  wc.mean_interarrival = config.mean_interarrival;
-  wc.access = config.access;
-  wc.topology = config.topology == TopologyKind::kStar
-                    ? TopologyKind::kDumbbellRedundant  // soak is topo-level
-                    : config.topology;
-  wc.failover = config.failover;
-  wc.bottleneck_bandwidth_bps = config.bottleneck_bandwidth_bps;
-  wc.bottleneck_delay = config.bottleneck_delay;
-  wc.bottleneck_queue_packets = config.bottleneck_queue_packets;
-  wc.bottleneck_queue = config.bottleneck_queue;
-  wc.server = config.server;
-  wc.client = config.client;
-  wc.master_seed = config.master_seed;
-  wc.horizon = config.horizon;
-  wc.drain = config.drain;
-  wc.verify_cache = config.verify_cache;
-  wc.threads = config.threads;
+  WorkloadConfig wc = config.workload;
 
   // Arm whatever recovery knob the caller left at "hang forever" — the soak
   // contract is that every client reaches a verdict.
   if (wc.client.max_attempts == 0) wc.client.max_attempts = 8;
   if (wc.client.request_deadline == 0) wc.client.request_deadline = sim::seconds(10);
-  if (wc.client.page_deadline == 0) wc.client.page_deadline = config.horizon;
+  if (wc.client.page_deadline == 0) wc.client.page_deadline = wc.horizon;
   if (wc.client.retry_backoff == 0) wc.client.retry_backoff = sim::milliseconds(100);
   wc.client.retry_server_errors = true;
 
@@ -230,7 +230,6 @@ SoakResult run_soak(const SoakConfig& config,
 
   obs::Snapshot prev_epoch;
   bool have_prev = false;
-  wc.epoch = config.epoch;
   wc.on_epoch = [&] {
     ++out.epochs_checked;
     const std::string where = "epoch " + std::to_string(out.epochs_checked);
@@ -265,12 +264,6 @@ SoakResult run_soak(const SoakConfig& config,
                              " attributions");
     }
   }
-  out.failovers = out.workload.metrics.counter("topo.router.failovers");
-  out.failbacks = out.workload.metrics.counter("topo.router.failbacks");
-  out.router_crash_flushed =
-      out.workload.metrics.counter("topo.router.crash_flushed");
-  out.router_dropped_crashed =
-      out.workload.metrics.counter("topo.router.dropped_crashed");
 
   if (!out.ok() && !config.failing_artifact_prefix.empty()) {
     net::write_file(config.failing_artifact_prefix + ".failing.trace",

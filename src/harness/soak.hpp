@@ -54,46 +54,26 @@ struct TopoFaultEvent {
   sim::Time duration = sim::seconds(1);
 };
 
+/// The soak defaults: N=100 Poisson arrivals through the redundant dumbbell
+/// (so crash/flap faults exercise failover and failback), a 120 s horizon,
+/// a 60 s drain and an oracle sweep every 5 s of simulated time.
+WorkloadConfig soak_workload();
+
 struct SoakConfig {
-  unsigned num_clients = 100;
-  ArrivalProcess arrivals = ArrivalProcess::kPoisson;
-  sim::Time mean_interarrival = sim::milliseconds(50);
-  NetworkProfile access = lan_profile();
-
-  /// Must be a dumbbell shape; the redundant dumbbell is the default so
-  /// crash/flap faults exercise failover and failback.
-  TopologyKind topology = TopologyKind::kDumbbellRedundant;
-  topo::FailoverSpec failover;
-
-  std::int64_t bottleneck_bandwidth_bps = 10'000'000;
-  sim::Time bottleneck_delay = sim::milliseconds(10);
-  std::size_t bottleneck_queue_packets = 256;
-  topo::QueueConfig bottleneck_queue;
+  /// The fleet, network, server, client, seed, horizon/drain, threads and
+  /// oracle cadence (`epoch`; 0 disables the per-epoch sweep, terminal checks
+  /// still run). The topology must be a dumbbell shape. run_soak owns the
+  /// `mutate_bottleneck`, `hop_trace`, `on_topology` and `on_epoch` hooks;
+  /// it arms any client recovery knob still at its "hang forever" default
+  /// (attempts, deadlines, backoff, 5xx retry) so the run always terminates.
+  /// The epoch oracles are shard-aware: they fire at engine barriers with
+  /// every worker parked, against a registry merged in shard order, so the
+  /// soak stays green at any thread count.
+  WorkloadConfig workload = soak_workload();
 
   /// The scripted faults. Flap windows must not overlap each other (the link
   /// layer rejects overlapping outage windows with a clear error).
   std::vector<TopoFaultEvent> timeline;
-
-  /// Oracle cadence. 0 disables the per-epoch sweep (terminal checks still
-  /// run).
-  sim::Time epoch = sim::seconds(5);
-
-  server::ServerConfig server;
-  /// Protocol mode, budgets and jitter come from the caller; run_soak arms
-  /// any recovery knob still at its "hang forever" default (attempts,
-  /// deadlines, backoff, 5xx retry) so the run always terminates.
-  client::ClientConfig client;
-
-  std::uint64_t master_seed = 1;
-  sim::Time horizon = sim::seconds(120);
-  sim::Time drain = sim::seconds(60);
-  bool verify_cache = false;
-
-  /// Parallel engine selector, passed through to WorkloadConfig::threads.
-  /// The epoch oracles are shard-aware: they fire at engine barriers with
-  /// every worker parked, against a registry merged in shard order, so the
-  /// soak stays green at any thread count.
-  unsigned threads = 0;
 
   /// When non-empty, a failing run writes "<prefix>.failing.trace" (the
   /// multi-hop packet trace) and "<prefix>.metrics.txt" (the registry dump)
@@ -119,12 +99,7 @@ struct SoakResult {
   std::uint64_t retry_budget_exhausted = 0;
   std::uint64_t retry_after_honored = 0;
   std::uint64_t body_bytes = 0;  // goodput numerator
-
-  // Topology recovery counters (registry topo.router.*).
-  std::uint64_t failovers = 0;
-  std::uint64_t failbacks = 0;
-  std::uint64_t router_crash_flushed = 0;
-  std::uint64_t router_dropped_crashed = 0;
+  // Topology recovery counters are in workload.metrics (topo.router.*).
 
   /// Every oracle green, every client resolved and attributed, no leaks.
   bool ok() const;
@@ -135,6 +110,8 @@ struct SoakResult {
 /// flap — spaced so recovery from each is observable before the next hits.
 std::vector<TopoFaultEvent> default_soak_timeline();
 
+/// Throws std::invalid_argument for a star topology or a caller-set hook
+/// that run_soak owns (see SoakConfig::workload).
 SoakResult run_soak(const SoakConfig& config,
                     const content::MicroscapeSite& site);
 

@@ -114,13 +114,10 @@ double WorkloadResult::jain_fairness_index() const {
 WorkloadResult run_workload(const WorkloadConfig& config,
                             const content::MicroscapeSite& site) {
   const unsigned n = config.num_clients;
-  // An explicit config knob wins, else HSIM_THREADS promotes existing
-  // binaries at runtime. threads = 0, or a topology without a nanosecond of
-  // cross-shard lookahead (zero-delay access legs), runs as one shard.
-  const unsigned threads =
-      config.threads != 0 ? config.threads : threads_from_env();
+  // threads = 0, or a topology without a nanosecond of cross-shard
+  // lookahead (zero-delay access legs), runs as one shard.
   const sim::Time lookahead =
-      threads != 0 && n > 0 ? workload_lookahead(config) : 0;
+      config.threads != 0 && n > 0 ? workload_lookahead(config) : 0;
   // Fixed partition: shard 0 = server + shared infrastructure, clients
   // round-robin over the remaining S-1 = min(N, 8) shards. S never depends
   // on the thread count, so results are thread-count invariant.
@@ -129,7 +126,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     return S == 1 ? 0 : 1 + i % (S - 1);
   };
 
-  ShardedRun run(S, threads, lookahead);
+  ShardedRun run(S, config.threads, lookahead);
   sim::ShardedEngine& engine = run.engine;
   sim::EventQueue& queue0 = engine.queue(0);
   queue0.reserve(64 + 16 * static_cast<std::size_t>(n) / S);
@@ -166,12 +163,6 @@ WorkloadResult run_workload(const WorkloadConfig& config,
   client::ClientConfig client_template = config.client;
   client_template.tcp.recv_buffer = std::min(
       client_template.tcp.recv_buffer, config.access.client_recv_buffer);
-  // Congestion-control override hits both sides of every connection.
-  server::ServerConfig server_config = config.server;
-  if (config.cc) {
-    client_template.tcp.cc = *config.cc;
-    server_config.tcp.cc = *config.cc;
-  }
   // De-synchronised backoff: each client's retry jitter draws from its own
   // splitmix64 stream, so a fleet never stampedes in lock-step. The seed is
   // a plain config value (no rng draw), leaving legacy draw order untouched.
@@ -211,7 +202,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     server_host.attach_uplink(bottleneck_down.get());
 
     server = std::make_unique<server::HttpServer>(
-        server_host, server::StaticSite::from_microscape(site), server_config,
+        server_host, server::StaticSite::from_microscape(site), config.server,
         server_rng.fork());
     server->start(80);
 
@@ -298,7 +289,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     if (config.on_topology) config.on_topology(topo, queue0);
 
     server = std::make_unique<server::HttpServer>(
-        server_host, server::StaticSite::from_microscape(site), server_config,
+        server_host, server::StaticSite::from_microscape(site), config.server,
         server_rng.fork());
     server->start(80);
 

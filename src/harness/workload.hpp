@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,7 +78,7 @@ struct WorkloadConfig {
 
   /// Time-varying profile overlaid on every client's access channel (netem
   /// subsystem): "flat", a built-in name or a profiles/*.netem file path;
-  /// empty consults HSIM_PROFILE, still empty = static access links.
+  /// empty = static access links.
   /// Applied after mutate_access — chaos regimes compose with any profile.
   std::string profile;
 
@@ -128,12 +127,6 @@ struct WorkloadConfig {
   server::ServerConfig server;
   client::ClientConfig client;
 
-  /// When set, overrides the congestion-control module on BOTH sides
-  /// (client template and server TcpOptions). Unset keeps whatever the
-  /// embedded configs carry — i.e. Reno unless a caller changed it — so the
-  /// legacy byte-exact paths are untouched.
-  std::optional<tcp::CcKind> cc;
-
   std::uint64_t master_seed = 1;
   std::string root = "/index.html";
 
@@ -153,14 +146,13 @@ struct WorkloadConfig {
 
   /// Worker threads. There is one engine (harness/parallel.hpp): 0 (default)
   /// runs it as one shard with no crossings, byte-exact with every
-  /// pre-sharding build; the HSIM_THREADS environment variable may promote
-  /// it at runtime. >= 1 partitions the hosts into 1 + min(num_clients, 8)
-  /// shards (shard 0 = server + bottleneck, clients round-robin over the
-  /// rest) run by that many worker threads. The partition does not depend on
-  /// `threads`, so every threads >= 1 value produces byte-identical results
-  /// — the thread count is purely a performance knob. A topology whose
-  /// minimum cross-shard latency is below 1 ns (no usable lookahead) keeps
-  /// one shard at any thread count.
+  /// pre-sharding build. >= 1 partitions the hosts into
+  /// 1 + min(num_clients, 8) shards (shard 0 = server + bottleneck, clients
+  /// round-robin over the rest) run by that many worker threads. The
+  /// partition does not depend on `threads`, so every threads >= 1 value
+  /// produces byte-identical results — the thread count is purely a
+  /// performance knob. A topology whose minimum cross-shard latency is below
+  /// 1 ns (no usable lookahead) keeps one shard at any thread count.
   unsigned threads = 0;
 };
 

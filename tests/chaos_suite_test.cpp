@@ -4,11 +4,16 @@
 // site byte-exactly within its bounded retries, or the run terminates with
 // structured failures attributing the responsible fault. Fixed seeds make
 // every outcome reproducible.
+//
+// The star-substrate tests also re-run under each ChaosVariant: every other
+// congestion-control module on both endpoints, and the 3g-drive netem profile
+// on the access path. The fault machinery must compose with all of them.
 #include "harness/chaos.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -20,13 +25,44 @@ using harness::ChaosFault;
 
 constexpr std::uint64_t kSeed = 7;
 
+/// A run setting the chaos experiment is repeated under. kDefault (Reno,
+/// static links) is the legacy byte-exact run.
+struct ChaosVariant {
+  const char* name;
+  tcp::CcKind cc;
+  const char* profile;
+};
+constexpr ChaosVariant kDefault{"reno", tcp::CcKind::kReno, ""};
+constexpr ChaosVariant kNewReno{"newreno", tcp::CcKind::kNewReno, ""};
+constexpr ChaosVariant kCubic{"cubic", tcp::CcKind::kCubic, ""};
+constexpr ChaosVariant kBbr{"bbr", tcp::CcKind::kBbrLite, ""};
+constexpr ChaosVariant k3gDrive{"3g-drive", tcp::CcKind::kReno, "3g-drive"};
+constexpr ChaosVariant kVariants[] = {kDefault, kNewReno, kCubic, kBbr,
+                                      k3gDrive};
+
+// Test listings print a variant by its name.
+void PrintTo(const ChaosVariant& variant, std::ostream* os) {
+  *os << variant.name;
+}
+
+harness::ChaosOutcome run_variant(ChaosFault fault, ProtocolMode mode,
+                                  std::uint64_t seed,
+                                  const ChaosVariant& variant) {
+  harness::ExperimentSpec spec = harness::chaos_spec(fault, mode, seed);
+  spec.client.tcp.cc = variant.cc;
+  spec.server.tcp.cc = variant.cc;
+  spec.profile = variant.profile;
+  return harness::run_chaos(spec, harness::shared_site());
+}
+
 class ChaosSuite
-    : public ::testing::TestWithParam<std::tuple<ChaosFault, ProtocolMode>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<ChaosFault, ProtocolMode, ChaosVariant>> {};
 
 TEST_P(ChaosSuite, ResolvesByteExactOrCleanlyAttributed) {
-  const auto [fault, mode] = GetParam();
+  const auto [fault, mode, variant] = GetParam();
   const harness::ChaosOutcome outcome =
-      harness::run_chaos(fault, mode, harness::shared_site(), kSeed);
+      run_variant(fault, mode, kSeed, variant);
   const client::RobotStats& robot = outcome.result.robot;
 
   // Never a hang: the retrieval reached a verdict inside the run horizon.
@@ -72,9 +108,9 @@ TEST_P(ChaosSuite, ResolvesByteExactOrCleanlyAttributed) {
   EXPECT_GT(trace.packets, 0u);
 }
 
-std::string param_name(
-    const ::testing::TestParamInfo<std::tuple<ChaosFault, ProtocolMode>>&
-        info) {
+// Test-name suffix from the fault and the mode, e.g. BurstLossHTTP10; the
+// instantiation prefix names the variant.
+const auto param_name = [](const auto& info) {
   std::string name(to_string(std::get<0>(info.param)));
   name += "_";
   name += to_string(std::get<1>(info.param));
@@ -89,68 +125,84 @@ std::string param_name(
     }
   }
   return out;
+};
+
+constexpr ProtocolMode kAllModes[] = {
+    ProtocolMode::kHttp10Parallel, ProtocolMode::kHttp11Persistent,
+    ProtocolMode::kHttp11Pipelined, ProtocolMode::kHttp11PipelinedCompressed,
+    ProtocolMode::kH2};
+
+auto all_faults_all_modes(const ChaosVariant& variant) {
+  return ::testing::Combine(::testing::ValuesIn(harness::all_chaos_faults()),
+                            ::testing::ValuesIn(kAllModes),
+                            ::testing::Values(variant));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllFaultsAllModes, ChaosSuite,
-    ::testing::Combine(
-        ::testing::ValuesIn(harness::all_chaos_faults()),
-        ::testing::Values(ProtocolMode::kHttp10Parallel,
-                          ProtocolMode::kHttp11Persistent,
-                          ProtocolMode::kHttp11Pipelined,
-                          ProtocolMode::kHttp11PipelinedCompressed,
-                          ProtocolMode::kH2)),
-    param_name);
+INSTANTIATE_TEST_SUITE_P(AllFaultsAllModes, ChaosSuite,
+                         all_faults_all_modes(kDefault), param_name);
+INSTANTIATE_TEST_SUITE_P(AllFaultsAllModesNewReno, ChaosSuite,
+                         all_faults_all_modes(kNewReno), param_name);
+INSTANTIATE_TEST_SUITE_P(AllFaultsAllModesCubic, ChaosSuite,
+                         all_faults_all_modes(kCubic), param_name);
+INSTANTIATE_TEST_SUITE_P(AllFaultsAllModesBbr, ChaosSuite,
+                         all_faults_all_modes(kBbr), param_name);
+INSTANTIATE_TEST_SUITE_P(AllFaultsAllModes3gDrive, ChaosSuite,
+                         all_faults_all_modes(k3gDrive), param_name);
 
 TEST(ChaosControl, NoFaultRetrievesByteExact) {
   // The hardened client against a healthy stack: byte-exact, no retries.
-  for (const ProtocolMode mode :
-       {ProtocolMode::kHttp10Parallel, ProtocolMode::kHttp11Persistent,
-        ProtocolMode::kHttp11Pipelined,
-        ProtocolMode::kHttp11PipelinedCompressed, ProtocolMode::kH2}) {
-    const harness::ChaosOutcome outcome = harness::run_chaos(
-        ChaosFault::kNone, mode, harness::shared_site(), kSeed);
-    EXPECT_TRUE(outcome.result.robot.complete) << to_string(mode);
-    EXPECT_TRUE(outcome.byte_exact) << to_string(mode);
-    EXPECT_EQ(outcome.result.robot.requests_failed, 0u);
+  for (const ChaosVariant& variant : kVariants) {
+    for (const ProtocolMode mode : kAllModes) {
+      const harness::ChaosOutcome outcome =
+          run_variant(ChaosFault::kNone, mode, kSeed, variant);
+      EXPECT_TRUE(outcome.result.robot.complete)
+          << to_string(mode) << " / " << variant.name;
+      EXPECT_TRUE(outcome.byte_exact)
+          << to_string(mode) << " / " << variant.name;
+      EXPECT_EQ(outcome.result.robot.requests_failed, 0u);
+    }
   }
 }
 
 TEST(ChaosRecovery, ServerFaultRegimesRecoverByteExact) {
   // These regimes limit the fault to early connections / odd requests, so a
   // correct recovery implementation must come away with the whole site.
-  for (const ChaosFault fault :
-       {ChaosFault::kServerStall, ChaosFault::kPrematureClose,
-        ChaosFault::kServerErrors}) {
-    for (const ProtocolMode mode :
-         {ProtocolMode::kHttp10Parallel, ProtocolMode::kHttp11Persistent,
-          ProtocolMode::kHttp11Pipelined,
-          ProtocolMode::kHttp11PipelinedCompressed, ProtocolMode::kH2}) {
-      const harness::ChaosOutcome outcome =
-          harness::run_chaos(fault, mode, harness::shared_site(), kSeed);
-      EXPECT_TRUE(outcome.result.robot.complete)
-          << to_string(fault) << " / " << to_string(mode);
-      EXPECT_TRUE(outcome.byte_exact)
-          << to_string(fault) << " / " << to_string(mode);
+  for (const ChaosVariant& variant : kVariants) {
+    for (const ChaosFault fault :
+         {ChaosFault::kServerStall, ChaosFault::kPrematureClose,
+          ChaosFault::kServerErrors}) {
+      for (const ProtocolMode mode : kAllModes) {
+        const harness::ChaosOutcome outcome =
+            run_variant(fault, mode, kSeed, variant);
+        EXPECT_TRUE(outcome.result.robot.complete)
+            << to_string(fault) << " / " << to_string(mode) << " / "
+            << variant.name;
+        EXPECT_TRUE(outcome.byte_exact)
+            << to_string(fault) << " / " << to_string(mode) << " / "
+            << variant.name;
+      }
     }
   }
 }
 
 TEST(ChaosDeterminism, SameSeedReproducesTheRun) {
-  for (const ChaosFault fault : harness::all_chaos_faults()) {
-    const harness::ChaosOutcome a = harness::run_chaos(
-        fault, ProtocolMode::kHttp11Pipelined, harness::shared_site(), 3);
-    const harness::ChaosOutcome b = harness::run_chaos(
-        fault, ProtocolMode::kHttp11Pipelined, harness::shared_site(), 3);
-    EXPECT_EQ(a.result.trace.packets, b.result.trace.packets)
-        << to_string(fault);
-    EXPECT_EQ(a.result.trace.wire_bytes, b.result.trace.wire_bytes)
-        << to_string(fault);
-    EXPECT_EQ(a.result.robot.finished, b.result.robot.finished)
-        << to_string(fault);
-    EXPECT_EQ(a.result.robot.requests_failed, b.result.robot.requests_failed)
-        << to_string(fault);
-    EXPECT_EQ(a.byte_exact, b.byte_exact) << to_string(fault);
+  for (const ChaosVariant& variant : kVariants) {
+    for (const ChaosFault fault : harness::all_chaos_faults()) {
+      const harness::ChaosOutcome a =
+          run_variant(fault, ProtocolMode::kHttp11Pipelined, 3, variant);
+      const harness::ChaosOutcome b =
+          run_variant(fault, ProtocolMode::kHttp11Pipelined, 3, variant);
+      const std::string where =
+          std::string(to_string(fault)) + " / " + variant.name;
+      EXPECT_EQ(a.result.trace.packets, b.result.trace.packets) << where;
+      EXPECT_EQ(a.result.trace.wire_bytes, b.result.trace.wire_bytes)
+          << where;
+      EXPECT_EQ(a.result.robot.finished, b.result.robot.finished) << where;
+      EXPECT_EQ(a.result.robot.requests_failed,
+                b.result.robot.requests_failed)
+          << where;
+      EXPECT_EQ(a.byte_exact, b.byte_exact) << where;
+    }
   }
 }
 
@@ -165,7 +217,8 @@ class ChaosDumbbell
 TEST_P(ChaosDumbbell, ResolvesByteExactOrCleanlyAttributedThroughRouters) {
   const auto [fault, mode] = GetParam();
   const harness::ChaosOutcome outcome =
-      harness::run_chaos(fault, mode, harness::shared_site(), kSeed,
+      harness::run_chaos(harness::chaos_spec(fault, mode, kSeed),
+                         harness::shared_site(),
                          harness::TopologyKind::kDumbbell);
   const client::RobotStats& robot = outcome.result.robot;
 
@@ -217,12 +270,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ChaosDeterminismDumbbell, SameSeedReproducesTheRoutedRun) {
   for (const ChaosFault fault : harness::all_chaos_faults()) {
+    const harness::ExperimentSpec spec =
+        harness::chaos_spec(fault, ProtocolMode::kHttp11Pipelined, 3);
     const harness::ChaosOutcome a = harness::run_chaos(
-        fault, ProtocolMode::kHttp11Pipelined, harness::shared_site(), 3,
-        harness::TopologyKind::kDumbbell);
+        spec, harness::shared_site(), harness::TopologyKind::kDumbbell);
     const harness::ChaosOutcome b = harness::run_chaos(
-        fault, ProtocolMode::kHttp11Pipelined, harness::shared_site(), 3,
-        harness::TopologyKind::kDumbbell);
+        spec, harness::shared_site(), harness::TopologyKind::kDumbbell);
     EXPECT_EQ(a.result.trace.packets, b.result.trace.packets)
         << to_string(fault);
     EXPECT_EQ(a.result.trace.wire_bytes, b.result.trace.wire_bytes)

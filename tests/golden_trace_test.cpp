@@ -32,35 +32,53 @@ std::string golden_path(const std::string& name) {
   return std::string(HSIM_GOLDEN_DIR) + "/" + name + ".trace";
 }
 
+// Compares the scenario against its golden as given, on the sharded engine
+// at 2 and 4 worker threads, and under the identity "flat" netem overlay:
+// neither the thread count nor the flat profile may move a single packet.
 void check_against_golden(const std::string& name,
                           const harness::ExperimentSpec& spec) {
-  const std::vector<net::TraceRecord> actual =
-      harness::capture_trace(spec, harness::shared_site());
-  ASSERT_FALSE(actual.empty()) << "scenario " << name << " captured no packets";
-
   std::vector<net::TraceRecord> expected;
   std::string error;
   ASSERT_TRUE(net::load_trace_file(golden_path(name), &expected, &error))
       << error << "\n(regenerate with: hsim-trace run " << name << " -o "
       << golden_path(name) << ")";
-
-  const net::TraceDiff diff = net::diff_traces(expected, actual);
-  if (!diff.identical) {
-    // Leave artifacts for CI next to the test binary.
-    net::write_file("golden_" + name + ".actual.trace",
-                    net::trace_to_text(actual));
-    net::write_file("golden_" + name + ".diff.txt", diff.report);
-  }
-  EXPECT_TRUE(diff.identical)
-      << "golden trace '" << name << "' diverged (" << diff.differing
-      << " differing records, first at index " << diff.first_diff << ")\n"
-      << diff.report;
-
-  // The canonical text rendering must match byte-for-byte too — the golden
-  // is the file of record, not just its parsed form.
   std::vector<std::uint8_t> raw;
   ASSERT_TRUE(net::read_file(golden_path(name), &raw));
-  EXPECT_EQ(std::string(raw.begin(), raw.end()), net::trace_to_text(actual));
+
+  struct Variant {
+    const char* suffix;  // artifact name suffix
+    unsigned threads;
+    const char* profile;
+  };
+  for (const Variant& v :
+       {Variant{"", 0, ""}, Variant{"_T2", 2, ""}, Variant{"_T4", 4, ""},
+        Variant{"_flat", 0, "flat"}}) {
+    const std::string tag = name + v.suffix;
+    harness::ExperimentSpec run = spec;
+    run.threads = v.threads;
+    run.profile = v.profile;
+    const std::vector<net::TraceRecord> actual =
+        harness::capture_trace(run, harness::shared_site());
+    ASSERT_FALSE(actual.empty())
+        << "scenario " << tag << " captured no packets";
+
+    const net::TraceDiff diff = net::diff_traces(expected, actual);
+    if (!diff.identical) {
+      // Leave artifacts for CI next to the test binary.
+      net::write_file("golden_" + tag + ".actual.trace",
+                      net::trace_to_text(actual));
+      net::write_file("golden_" + tag + ".diff.txt", diff.report);
+    }
+    EXPECT_TRUE(diff.identical)
+        << "golden trace '" << tag << "' diverged (" << diff.differing
+        << " differing records, first at index " << diff.first_diff << ")\n"
+        << diff.report;
+
+    // The canonical text rendering must match byte-for-byte too — the
+    // golden is the file of record, not just its parsed form.
+    EXPECT_EQ(std::string(raw.begin(), raw.end()), net::trace_to_text(actual))
+        << tag;
+  }
 }
 
 TEST(GoldenTrace, Table4Http10Lan) {

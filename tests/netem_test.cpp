@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -312,22 +311,18 @@ TEST(NetemOverlay, AsymmetryRadioQueueAndLabels) {
   EXPECT_EQ(cfg.b_to_a.label, "access.down");
 }
 
-TEST(NetemOverlay, EnvironmentVariableFallbackAndPrecedence) {
-  ASSERT_EQ(setenv("HSIM_PROFILE", "3g-drive", 1), 0);
-  net::ChannelConfig from_env = harness::mobile_profile().channel_config();
-  harness::apply_profile_overlay("", from_env);
-  ASSERT_NE(from_env.a_to_b.dynamics, nullptr);
-  EXPECT_TRUE(from_env.a_to_b.dynamics->radio.enabled);
-  EXPECT_EQ(from_env.a_to_b.queue_limit_packets, 256u);  // 3g-drive's queue
+TEST(NetemOverlay, EmptyIsStaticAndFlatIsConstantRate) {
+  net::ChannelConfig none = harness::mobile_profile().channel_config();
+  harness::apply_profile_overlay("", none);
+  EXPECT_EQ(none.a_to_b.dynamics, nullptr);
+  EXPECT_EQ(none.b_to_a.dynamics, nullptr);
 
-  // An explicit value always wins over the environment.
   net::ChannelConfig flat = harness::mobile_profile().channel_config();
   harness::apply_profile_overlay("flat", flat);
   ASSERT_NE(flat.a_to_b.dynamics, nullptr);
   EXPECT_TRUE(flat.a_to_b.dynamics->profile.constant_rate());
   EXPECT_EQ(flat.a_to_b.dynamics->profile.bandwidth_at(0),
             flat.a_to_b.bandwidth_bps);
-  unsetenv("HSIM_PROFILE");
 }
 
 TEST(NetemOverlay, UnknownProfileNameThrows) {

@@ -267,22 +267,23 @@ TEST(ParallelDeterminism, ZeroLookaheadRunsOneShardAtAnyThreadCount) {
 // reach the same verdict and counters as the T=1 run.
 TEST(ParallelDeterminism, SoakOraclesGreenAcrossThreads) {
   harness::SoakConfig config;
-  config.num_clients = 20;
-  config.master_seed = 11;
-  config.horizon = sim::seconds(30);
-  config.drain = sim::seconds(30);
-  config.epoch = sim::seconds(2);
+  config.workload.num_clients = 20;
+  config.workload.master_seed = 11;
+  config.workload.horizon = sim::seconds(30);
+  config.workload.drain = sim::seconds(30);
+  config.workload.epoch = sim::seconds(2);
+  config.workload.client =
+      harness::robot_config(client::ProtocolMode::kHttp11Pipelined);
   config.timeline = harness::default_soak_timeline();
-  config.client = harness::robot_config(client::ProtocolMode::kHttp11Pipelined);
 
-  config.threads = 1;
+  config.workload.threads = 1;
   const harness::SoakResult base =
       run_soak(config, harness::shared_site());
   EXPECT_TRUE(base.ok()) << (base.violations.empty()
                                  ? "unresolved client or leak"
                                  : base.violations.front());
   for (unsigned t : {2u, 4u}) {
-    config.threads = t;
+    config.workload.threads = t;
     const harness::SoakResult run =
         run_soak(config, harness::shared_site());
     EXPECT_TRUE(run.ok()) << "soak oracle violation at T=" << t << ": "

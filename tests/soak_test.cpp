@@ -25,19 +25,20 @@ namespace {
 
 harness::SoakConfig soak_config(unsigned n, client::ProtocolMode mode) {
   harness::SoakConfig config;
-  config.num_clients = n;
-  config.client = harness::robot_config(mode);
-  config.client.max_attempts = 8;
-  config.client.request_deadline = sim::seconds(10);
-  config.client.retry_backoff = sim::milliseconds(200);
-  config.client.retry_budget = 8;
-  config.client.retry_jitter = 0.5;
-  config.server = server::apache_config();
+  harness::WorkloadConfig& wc = config.workload;
+  wc.num_clients = n;
+  wc.client = harness::robot_config(mode);
+  wc.client.max_attempts = 8;
+  wc.client.request_deadline = sim::seconds(10);
+  wc.client.retry_backoff = sim::milliseconds(200);
+  wc.client.retry_budget = 8;
+  wc.client.retry_jitter = 0.5;
+  wc.server = server::apache_config();
+  wc.epoch = sim::seconds(5);
+  wc.horizon = sim::seconds(300);
+  wc.drain = sim::seconds(120);
+  wc.master_seed = 42;
   config.timeline = harness::default_soak_timeline();
-  config.epoch = sim::seconds(5);
-  config.horizon = sim::seconds(300);
-  config.drain = sim::seconds(120);
-  config.master_seed = 42;
   return config;
 }
 
@@ -57,7 +58,7 @@ void expect_green(const harness::SoakResult& result) {
 TEST(Soak, N100MultiFaultOraclesGreen) {
   harness::SoakConfig config =
       soak_config(100, client::ProtocolMode::kHttp11Pipelined);
-  config.verify_cache = true;
+  config.workload.verify_cache = true;
   config.failing_artifact_prefix = "soak_n100";
   const harness::SoakResult result =
       harness::run_soak(config, harness::shared_site());
@@ -66,9 +67,12 @@ TEST(Soak, N100MultiFaultOraclesGreen) {
   EXPECT_GT(result.epochs_checked, 0u);
   // Not vacuous: the timeline genuinely hit the data path — the crash
   // flushed or dropped packets, and the flap drove a failover and failback.
-  EXPECT_GT(result.router_crash_flushed + result.router_dropped_crashed, 0u);
-  EXPECT_GT(result.failovers, 0u);
-  EXPECT_GT(result.failbacks, 0u);
+  const obs::Snapshot& m = result.workload.metrics;
+  EXPECT_GT(m.counter("topo.router.crash_flushed") +
+                m.counter("topo.router.dropped_crashed"),
+            0u);
+  EXPECT_GT(m.counter("topo.router.failovers"), 0u);
+  EXPECT_GT(m.counter("topo.router.failbacks"), 0u);
   // Clients that completed got the site byte-exact despite the faults.
   unsigned exact = 0;
   for (const harness::ClientOutcome& c : result.workload.clients) {
@@ -92,8 +96,6 @@ TEST(Soak, N100SameSeedBitIdentical) {
   EXPECT_EQ(a.retries, b.retries);
   EXPECT_EQ(a.retry_tokens_consumed, b.retry_tokens_consumed);
   EXPECT_EQ(a.retry_budget_exhausted, b.retry_budget_exhausted);
-  EXPECT_EQ(a.failovers, b.failovers);
-  EXPECT_EQ(a.failbacks, b.failbacks);
   ASSERT_EQ(a.workload.metrics.dump_text(), b.workload.metrics.dump_text());
 }
 
@@ -102,16 +104,16 @@ TEST(Soak, N1000TerminatesEveryClientAttributed) {
       soak_config(1000, client::ProtocolMode::kHttp11Pipelined);
   // Scale knobs: longer arrival spread, no O(N·site) cache verification,
   // no hop trace.
-  config.mean_interarrival = sim::milliseconds(20);
-  config.horizon = sim::seconds(600);
-  config.drain = sim::seconds(120);
+  config.workload.mean_interarrival = sim::milliseconds(20);
+  config.workload.horizon = sim::seconds(600);
+  config.workload.drain = sim::seconds(120);
   const harness::SoakResult result =
       harness::run_soak(config, harness::shared_site());
 
   expect_green(result);
   EXPECT_GT(result.epochs_checked, 0u);
   EXPECT_GT(result.workload.completed(), 0u);
-  EXPECT_GT(result.failovers, 0u);
+  EXPECT_GT(result.workload.metrics.counter("topo.router.failovers"), 0u);
 }
 
 }  // namespace

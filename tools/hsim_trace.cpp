@@ -1,11 +1,15 @@
 // hsim-trace: capture, inspect and compare packet traces.
 //
-//   hsim-trace run <table4|table6> [--seed N] [--cc CC] [--binary] -o FILE
+//   hsim-trace run <table4|table6|table4h2|table6h2> [--seed N] [--cc CC]
+//                  [--profile P] [--binary] -o FILE
 //       Run a golden scenario and write the client-side trace to FILE
 //       (canonical text by default, stable binary with --binary). --cc
 //       selects the congestion-control module on both endpoints
-//       (reno|newreno|cubic|bbr; default reno, the golden behaviour).
-//   hsim-trace run dumbbell [--seed N] [--clients N] [--cc CC] [--binary] -o FILE
+//       (reno|newreno|cubic|bbr; default reno, the golden behaviour);
+//       --profile overlays a netem profile ("flat", a built-in name or a
+//       profiles/*.netem file) on the access path.
+//   hsim-trace run dumbbell [--seed N] [--clients N] [--cc CC] [--profile P]
+//                  [--binary] -o FILE
 //       Run a small shared-bottleneck dumbbell workload with a multi-hop
 //       trace attached to every router; the resulting file uses the v2
 //       format with a per-hop column (router id + queue depth at enqueue).
@@ -54,14 +58,24 @@ namespace {
 
 using namespace hsim;
 
+/// The golden scenario names joined by `sep`, for usage and error text.
+std::string scenario_list(const char* sep) {
+  std::string out;
+  for (const std::string& name : harness::golden_scenario_names()) {
+    out += (out.empty() ? "" : sep) + name;
+  }
+  return out;
+}
+
 int usage() {
   std::fprintf(stderr,
-               "usage: hsim-trace run <table4|table6> [--seed N] [--cc CC] [--profile P] [--binary] -o FILE\n"
+               "usage: hsim-trace run <%s> [--seed N] [--cc CC] [--profile P] [--binary] -o FILE\n"
                "       hsim-trace run dumbbell [--seed N] [--clients N] [--cc CC] [--profile P] [--binary] -o FILE\n"
                "       hsim-trace text FILE\n"
                "       hsim-trace summarize FILE [--client ADDR] [--metrics MFILE]\n"
                "       hsim-trace profiles [NAME]\n"
-               "       hsim-trace diff A B\n");
+               "       hsim-trace diff A B\n",
+               scenario_list("|").c_str());
   return 2;
 }
 
@@ -181,21 +195,20 @@ void print_netem_table(const std::map<std::string, std::uint64_t>& counters,
 /// A small dumbbell workload with a multi-hop trace on every router: each
 /// packet appears once per router crossed, tagged with the router id and the
 /// egress queue depth it found at enqueue.
-int cmd_run_dumbbell(const std::vector<std::string>& args,
-                     const std::string& out_path, bool binary,
+int cmd_run_dumbbell(const std::string& out_path, bool binary,
                      std::uint64_t seed, unsigned clients, tcp::CcKind cc,
                      const std::string& profile) {
   harness::WorkloadConfig config;
   config.num_clients = clients;
   config.master_seed = seed;
   config.topology = harness::TopologyKind::kDumbbell;
-  config.cc = cc;
+  config.client.tcp.cc = cc;
+  config.server.tcp.cc = cc;
   config.profile = profile;
   net::PacketTrace hop_trace(/*client_addr=*/1);  // direction anchor: server
   config.hop_trace = &hop_trace;
   const harness::WorkloadResult result =
       harness::run_workload(config, harness::shared_site());
-  (void)args;
   const int status = write_records("dumbbell", hop_trace.records(), out_path,
                                    binary,
                                    static_cast<unsigned long long>(seed));
@@ -226,8 +239,6 @@ int cmd_run(const std::vector<std::string>& args) {
         return fail("unknown --cc (try: reno, newreno, cubic, bbr)");
       }
     } else if (args[i] == "--profile" && i + 1 < args.size()) {
-      // Netem profile overlay, mirroring --cc / HSIM_CC: the flag wins,
-      // empty falls back to HSIM_PROFILE inside the harness.
       profile = args[++i];
     } else if (args[i] == "--binary") {
       binary = true;
@@ -249,13 +260,12 @@ int cmd_run(const std::vector<std::string>& args) {
   }
 
   if (args[0] == "dumbbell") {
-    return cmd_run_dumbbell(args, out_path, binary, seed, clients, cc,
-                            profile);
+    return cmd_run_dumbbell(out_path, binary, seed, clients, cc, profile);
   }
   harness::ExperimentSpec spec;
   if (!harness::golden_spec_by_name(args[0], &spec)) {
-    return fail("unknown scenario '" + args[0] +
-                "' (try: table4, table6, dumbbell)");
+    return fail("unknown scenario '" + args[0] + "' (try: " +
+                scenario_list(", ") + ", dumbbell)");
   }
   spec.seed = seed;
   spec.server.tcp.cc = cc;
