@@ -9,6 +9,13 @@
 
 namespace hsim::client {
 
+namespace {
+
+/// Cap on one retry backoff wait (see ClientConfig::retry_backoff).
+constexpr sim::Time kRetryBackoffCap = sim::seconds(10);
+
+}  // namespace
+
 std::string_view to_string(FailureKind kind) {
   switch (kind) {
     case FailureKind::kConnectFailure: return "connect-failure";
@@ -98,7 +105,7 @@ void Robot::start_first_visit(const std::string& root, DoneCallback done) {
   req.target = root;
   req.is_root = true;
   ++expected_responses_;
-  enqueue(std::move(req));
+  queue_.push_back(std::move(req));
   pump();
 }
 
@@ -131,12 +138,10 @@ void Robot::start_revalidation(const std::string& root, DoneCallback done) {
         break;
     }
     ++expected_responses_;
-    enqueue(std::move(req));
+    queue_.push_back(std::move(req));
   }
   pump();
 }
-
-void Robot::enqueue(PendingRequest request) { queue_.push_back(std::move(request)); }
 
 Robot::LanePtr Robot::open_lane() {
   auto lane = std::make_shared<Lane>();
@@ -209,10 +214,9 @@ void Robot::attach_h2_session(const LanePtr& lane) {
   // the server should not bother promising anything.
   sc.enable_push =
       config_.h2_enable_push && config_.follow_embedded && first_visit_;
-  sc.initial_window = config_.h2_initial_window;
   std::weak_ptr<Lane> weak = lane;
   lane->h2 = std::make_unique<h2::Session>(
-      host_.event_queue(), sc, [this, weak](buf::Chain&& bytes) {
+      sc, [this, weak](buf::Chain&& bytes) {
         if (auto l = weak.lock(); l && !l->closed) {
           l->out_unsent.append(std::move(bytes));
           pump_lane_output(l);
@@ -319,7 +323,7 @@ http::Request Robot::build_request(const PendingRequest& pending) const {
   req.target = pending.target;
   req.version =
       config_.http11() ? http::Version::kHttp11 : http::Version::kHttp10;
-  req.headers.add("Host", config_.host_header);
+  req.headers.add("Host", "www.microscape.test");
   req.headers.add("User-Agent", config_.profile.user_agent);
   for (const auto& [name, value] : config_.profile.extra_headers) {
     req.headers.add(name, value);
@@ -338,13 +342,10 @@ http::Request Robot::build_request(const PendingRequest& pending) const {
         req.headers.add("If-Modified-Since",
                         http::format_http_date(entry->last_modified));
       }
-      if (config_.validate_with_ranges && !pending.is_root &&
-          config_.range_prefix_bytes > 0) {
+      if (config_.validate_with_ranges && !pending.is_root) {
         // Unchanged -> 304 as usual; changed -> 206 carrying only the
         // metadata prefix of the new entity.
-        req.headers.add("Range",
-                        "bytes=0-" +
-                            std::to_string(config_.range_prefix_bytes - 1));
+        req.headers.add("Range", "bytes=0-1359");
       }
     }
   }
@@ -386,28 +387,28 @@ void Robot::issue_on_lane(const LanePtr& lane, PendingRequest pending) {
 
   if (!config_.pipelined()) {
     // Persistent / HTTP/1.0 modes write each request immediately.
-    flush_lane(lane, /*explicit_flush=*/false);
+    flush_lane(lane);
     return;
   }
   // Pipelined: buffer, with three flush triggers (size, explicit, timer).
   if (is_first && config_.explicit_first_flush) {
     ++stats_.explicit_flushes;
-    flush_lane(lane, true);
+    flush_lane(lane);
   } else if (lane->out_buffer.size() >= config_.pipeline_buffer) {
     ++stats_.size_flushes;
-    flush_lane(lane, false);
+    flush_lane(lane);
   } else if (!lane->flush_timer->armed()) {
     std::weak_ptr<Lane> weak = lane;
     lane->flush_timer->arm(config_.flush_timeout, [this, weak] {
       if (auto l = weak.lock(); l && !l->out_buffer.empty()) {
         ++stats_.timer_flushes;
-        flush_lane(l, false);
+        flush_lane(l);
       }
     });
   }
 }
 
-void Robot::flush_lane(const LanePtr& lane, bool /*explicit_flush*/) {
+void Robot::flush_lane(const LanePtr& lane) {
   lane->flush_timer->cancel();
   if (!lane->out_buffer.empty()) {
     lane->out_unsent.append(std::move(lane->out_buffer));
@@ -585,7 +586,7 @@ void Robot::discover_references() {
     PendingRequest req;
     req.target = refs[i];
     ++expected_responses_;
-    enqueue(std::move(req));
+    queue_.push_back(std::move(req));
     added = true;
   }
   refs_discovered_ = std::max(refs_discovered_, refs.size());
@@ -643,57 +644,48 @@ void Robot::handle_response(const LanePtr& lane, const PendingRequest& pending,
   }
   if (response.status < 400) refund_retry_token();
 
-  const bool deflated =
-      response.headers.has_token("Content-Encoding", "deflate");
-
-  if (pending.is_root && first_visit_ && response.status == 200) {
-    // Finish ingesting the document (bytes past the last partial scan).
-    if (response.body.size() > html_raw_consumed_) {
-      response.body.slice(html_raw_consumed_)
-          .for_each([&](std::span<const std::uint8_t> run) {
-            ingest_html_bytes(run, deflated);
-          });
+  if (first_visit_ && response.status == 200) {
+    CacheEntry entry;
+    if (const auto etag = response.headers.get("ETag")) {
+      entry.etag = std::string(*etag);
     }
-    stats_.html_complete_at = host_.event_queue().now();
-    discover_references();
-    // The whole document is parsed: the application *knows* no further
-    // requests will be generated from it, so flush the tail batch rather
-    // than waiting for the 50 ms timer (the paper's explicit-flush insight).
-    if (config_.pipelined()) {
-      for (const LanePtr& l : lanes_) {
-        if (!l->closed && !l->out_buffer.empty()) {
-          ++stats_.explicit_flushes;
-          flush_lane(l, true);
+    if (const auto lm = response.headers.get("Last-Modified")) {
+      if (const auto t = http::parse_http_date(*lm)) entry.last_modified = *t;
+    }
+    if (const auto ct = response.headers.get("Content-Type")) {
+      entry.content_type = std::string(*ct);
+    }
+    if (pending.is_root) {
+      // Finish ingesting the document (bytes past the last partial scan).
+      const bool deflated =
+          response.headers.has_token("Content-Encoding", "deflate");
+      if (response.body.size() > html_raw_consumed_) {
+        response.body.slice(html_raw_consumed_)
+            .for_each([&](std::span<const std::uint8_t> run) {
+              ingest_html_bytes(run, deflated);
+            });
+      }
+      stats_.html_complete_at = host_.event_queue().now();
+      discover_references();
+      // The whole document is parsed: the application *knows* no further
+      // requests will be generated from it, so flush the tail batch rather
+      // than waiting for the 50 ms timer (the paper's explicit-flush
+      // insight).
+      if (config_.pipelined()) {
+        for (const LanePtr& l : lanes_) {
+          if (!l->closed && !l->out_buffer.empty()) {
+            ++stats_.explicit_flushes;
+            flush_lane(l);
+          }
         }
       }
+      entry.body.append(buf::Bytes(std::string_view(html_text_)));
+    } else {
+      if (stats_.first_image_done_at == 0) {
+        stats_.first_image_done_at = host_.event_queue().now();
+      }
+      entry.body = std::move(response.body);
     }
-    CacheEntry entry;
-    if (const auto etag = response.headers.get("ETag")) {
-      entry.etag = std::string(*etag);
-    }
-    if (const auto lm = response.headers.get("Last-Modified")) {
-      if (const auto t = http::parse_http_date(*lm)) entry.last_modified = *t;
-    }
-    if (const auto ct = response.headers.get("Content-Type")) {
-      entry.content_type = std::string(*ct);
-    }
-    entry.body.append(buf::Bytes(std::string_view(html_text_)));
-    cache_.store(pending.target, std::move(entry));
-  } else if (first_visit_ && response.status == 200) {
-    if (stats_.first_image_done_at == 0) {
-      stats_.first_image_done_at = host_.event_queue().now();
-    }
-    CacheEntry entry;
-    if (const auto etag = response.headers.get("ETag")) {
-      entry.etag = std::string(*etag);
-    }
-    if (const auto lm = response.headers.get("Last-Modified")) {
-      if (const auto t = http::parse_http_date(*lm)) entry.last_modified = *t;
-    }
-    if (const auto ct = response.headers.get("Content-Type")) {
-      entry.content_type = std::string(*ct);
-    }
-    entry.body = std::move(response.body);
     cache_.store(pending.target, std::move(entry));
   }
 
@@ -724,7 +716,7 @@ sim::Time Robot::backoff_delay(unsigned attempts) {
     delay = static_cast<sim::Time>(static_cast<double>(delay) *
                                    retry_rng_.jitter(config_.retry_jitter));
   }
-  return std::min(delay, config_.retry_backoff_cap);
+  return std::min(delay, kRetryBackoffCap);
 }
 
 bool Robot::consume_retry_token() {

@@ -90,7 +90,6 @@ struct ClientConfig {
   bool nodelay = true;
   RevalidationStyle revalidation = RevalidationStyle::kConditionalGet;
   HeaderProfile profile = robot_profile();
-  std::string host_header = "www.microscape.test";
   tcp::TcpOptions tcp;
 
   /// Prefer If-None-Match entity tags for conditional requests; false falls
@@ -103,11 +102,10 @@ struct ClientConfig {
 
   /// "Poor man's multiplexing" (paper §"Range Requests and Validation"):
   /// revalidation requests combine the cache validator with
-  /// `Range: bytes=0-(N-1)`, so an object that *changed* returns only its
-  /// first N bytes (enough for image metadata) instead of monopolizing the
-  /// connection with a full transfer.
+  /// `Range: bytes=0-1359`, so an object that *changed* returns only its
+  /// first 1360 bytes (enough for image metadata) instead of monopolizing
+  /// the connection with a full transfer.
   bool validate_with_ranges = false;
-  std::size_t range_prefix_bytes = 1360;
 
   /// Client CPU consumed per response (parsing plus cache bookkeeping).
   /// The paper notes libwww 5.1's two-files-per-object persistent cache
@@ -129,10 +127,9 @@ struct ClientConfig {
   sim::Time page_deadline = 0;
 
   /// Exponential backoff between re-issues of a failed request: attempt k
-  /// waits retry_backoff * 2^(k-1), capped at retry_backoff_cap. 0 = retry
-  /// immediately (the pre-fault-injection behaviour).
+  /// waits retry_backoff * 2^(k-1), capped at 10 s. 0 = retry immediately
+  /// (the pre-fault-injection behaviour).
   sim::Time retry_backoff = 0;
-  sim::Time retry_backoff_cap = sim::seconds(10);
 
   /// Re-issue requests answered with 5xx (bounded by max_attempts). Off by
   /// default: the paper's robot treated errors as terminal.
@@ -159,8 +156,6 @@ struct ClientConfig {
   /// Accept server pushes on first visits (advertised via SETTINGS
   /// ENABLE_PUSH; only meaningful in kH2 mode).
   bool h2_enable_push = true;
-  /// Per-stream receive window advertised to the server.
-  std::uint32_t h2_initial_window = 65535;
 
   bool wants_deflate() const {
     return mode == ProtocolMode::kHttp11PipelinedCompressed;
@@ -249,7 +244,6 @@ class Robot {
 
   Cache& cache() { return cache_; }
   const RobotStats& stats() const { return stats_; }
-  const ClientConfig& config() const { return config_; }
 
  private:
   struct PendingRequest {
@@ -299,12 +293,11 @@ class Robot {
   using LanePtr = std::shared_ptr<Lane>;
 
   void begin(DoneCallback done);
-  void enqueue(PendingRequest request);
   void pump();                        // assign queued requests to lanes
   LanePtr open_lane();
   void issue_on_lane(const LanePtr& lane, PendingRequest request);
   http::Request build_request(const PendingRequest& pending) const;
-  void flush_lane(const LanePtr& lane, bool explicit_flush);
+  void flush_lane(const LanePtr& lane);
   void pump_lane_output(const LanePtr& lane);
 
   void on_lane_data(const LanePtr& lane);

@@ -189,10 +189,6 @@ Animation generate_animation(const SyntheticSpec& spec,
 
 // ---- Modern codec size models ---------------------------------------------
 
-std::string_view to_string(ModernCodec codec) {
-  return codec == ModernCodec::kWebP ? "webp" : "avif";
-}
-
 std::string_view extension(ModernCodec codec) {
   return codec == ModernCodec::kWebP ? ".webp" : ".avif";
 }

@@ -75,7 +75,6 @@ Animation generate_animation(const SyntheticSpec& spec, unsigned frame_count);
 
 enum class ModernCodec { kWebP, kAvif };
 
-std::string_view to_string(ModernCodec codec);
 /// File extension including the dot (".webp" / ".avif").
 std::string_view extension(ModernCodec codec);
 

@@ -67,8 +67,9 @@ MicroscapeSite modernize_site(const MicroscapeSite& site,
 
 /// Extracts src="..." references in document order, possibly from a partial
 /// HTML prefix — the incremental scanning a pipelining client performs as
-/// bytes arrive. `consumed` returns how far scanning got (complete tags
-/// only), so a caller can resume from there with more data.
+/// bytes arrive. Only complete tags count. Each call rescans the whole
+/// prefix from its first byte; the client keeps the count of references it
+/// already issued and skips that many.
 std::vector<std::string> scan_image_references(std::string_view html_prefix);
 
 }  // namespace hsim::content

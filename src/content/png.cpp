@@ -179,8 +179,7 @@ std::vector<std::uint8_t> encode_png(const IndexedImage& image,
   append_chunk(out, "PLTE", plte);
 
   // IDAT
-  const auto idat = deflate::zlib_compress(
-      raw, deflate::DeflateOptions{options.compression_level});
+  const auto idat = deflate::zlib_compress(raw);  // level 6
   append_chunk(out, "IDAT", idat);
 
   append_chunk(out, "IEND", {});

@@ -20,7 +20,6 @@ struct PngOptions {
   /// Per-row filter selection: false = filter 0 everywhere, true = choose
   /// the filter minimizing sum of absolute differences per row.
   bool adaptive_filtering = true;
-  int compression_level = 6;
 };
 
 std::vector<std::uint8_t> encode_png(const IndexedImage& image,

@@ -45,7 +45,6 @@ class BitWriter {
   }
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-  std::size_t bit_count() const { return bytes_.size() * 8 + used_; }
 
  private:
   std::vector<std::uint8_t> bytes_;

@@ -182,11 +182,6 @@ class Lz77 {
 // Block emission
 // ---------------------------------------------------------------------------
 
-struct BlockCodes {
-  std::vector<std::uint8_t> litlen_lengths;
-  std::vector<std::uint8_t> dist_lengths;
-};
-
 void count_frequencies(std::span<const Token> tokens,
                        std::array<std::uint32_t, kNumLitLenSymbols>& lit_freq,
                        std::array<std::uint32_t, kNumDistSymbols>& dist_freq) {

@@ -105,7 +105,6 @@ HuffmanEncoder::HuffmanEncoder(std::span<const std::uint8_t> lengths)
 }
 
 bool HuffmanDecoder::build(std::span<const std::uint8_t> lengths) {
-  valid_ = false;
   std::fill(std::begin(count_), std::end(count_), 0);
   sorted_.clear();
   for (std::uint8_t l : lengths) {
@@ -140,7 +139,6 @@ bool HuffmanDecoder::build(std::span<const std::uint8_t> lengths) {
     code = (code + count_[l - 1]) << 1;
     first_[l] = code;
   }
-  valid_ = true;
   return true;
 }
 

@@ -33,7 +33,6 @@ class HuffmanEncoder {
     out.write_bits(reversed_codes_[symbol], lengths_[symbol]);
   }
 
-  std::uint8_t length_of(unsigned symbol) const { return lengths_[symbol]; }
   std::size_t size() const { return lengths_.size(); }
 
  private:
@@ -57,8 +56,6 @@ class HuffmanDecoder {
   /// bit pattern is invalid for this code.
   int decode(BitReader& in) const;
 
-  bool valid() const { return valid_; }
-
  private:
   static constexpr unsigned kMaxBits = 15;
   // count_[l]  = number of codes of length l
@@ -68,7 +65,6 @@ class HuffmanDecoder {
   std::uint32_t first_[kMaxBits + 1] = {};
   std::uint16_t offset_[kMaxBits + 1] = {};
   std::vector<std::uint16_t> sorted_;  // symbols ordered by (length, symbol)
-  bool valid_ = false;
 };
 
 }  // namespace hsim::deflate

@@ -34,7 +34,6 @@ void Inflater::emit_byte(std::uint8_t byte, std::vector<std::uint8_t>& out) {
   }
   window_pos_ = (window_pos_ + 1) % kWindow;
   window_filled_ = std::min(window_filled_ + 1, kWindow);
-  ++total_out_;
   adler_ = adler32(std::span(&byte, 1), adler_);
 }
 

@@ -47,7 +47,6 @@ class Inflater {
 
   Status status() const { return status_; }
   const std::string& error() const { return error_; }
-  std::size_t total_out() const { return total_out_; }
   std::size_t total_in() const { return input_.size(); }
 
  private:
@@ -96,14 +95,11 @@ class Inflater {
   std::size_t window_pos_ = 0;
   std::size_t window_filled_ = 0;
 
-  std::size_t total_out_ = 0;
   std::uint32_t adler_ = 1;
   std::vector<std::uint8_t> dictionary_;
   bool have_dictionary_ = false;
 
   static constexpr std::size_t kWindow = 32768;
-
-  void init_zlib_skipped() { state_ = State::kBlockHeader; }
 };
 
 /// One-shot convenience: returns empty vector + false on malformed input.

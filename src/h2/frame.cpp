@@ -92,19 +92,6 @@ bool is_known_frame_type(std::uint8_t t) {
   return false;
 }
 
-std::string_view to_string(ErrorCode c) {
-  switch (c) {
-    case ErrorCode::kNoError: return "NO_ERROR";
-    case ErrorCode::kProtocolError: return "PROTOCOL_ERROR";
-    case ErrorCode::kInternalError: return "INTERNAL_ERROR";
-    case ErrorCode::kFlowControlError: return "FLOW_CONTROL_ERROR";
-    case ErrorCode::kFrameSizeError: return "FRAME_SIZE_ERROR";
-    case ErrorCode::kRefusedStream: return "REFUSED_STREAM";
-    case ErrorCode::kCancel: return "CANCEL";
-  }
-  return "?";
-}
-
 buf::Chain encode_frame(const Frame& frame) {
   std::array<std::uint8_t, kFrameHeaderSize> hdr{};
   const std::size_t len = frame.payload.size();

@@ -66,7 +66,6 @@ enum class ErrorCode : std::uint32_t {
   kRefusedStream = 0x7,
   kCancel = 0x8,
 };
-std::string_view to_string(ErrorCode c);
 
 // Settings identifiers carried in SETTINGS payloads (6-byte id/value pairs).
 inline constexpr std::uint16_t kSettingsEnablePush = 0x2;

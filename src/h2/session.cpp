@@ -46,11 +46,9 @@ Session::Metrics Session::Metrics::bind() {
   return m;
 }
 
-Session::Session(sim::EventQueue& clock, SessionConfig config, WriteFn write)
-    : clock_(clock),
-      config_(config),
+Session::Session(SessionConfig config, WriteFn write)
+    : config_(config),
       write_(std::move(write)),
-      decoder_(config.max_frame_size),
       metrics_(Metrics::bind()),
       next_local_id_(config.is_server ? 2 : 1) {
   if (!config_.is_server) {
@@ -62,19 +60,11 @@ Session::Session(sim::EventQueue& clock, SessionConfig config, WriteFn write)
   settings.type = FrameType::kSettings;
   settings.payload = encode_settings_payload({
       {kSettingsEnablePush, config_.enable_push ? 1u : 0u},
-      {kSettingsMaxConcurrentStreams, config_.max_concurrent_streams},
-      {kSettingsInitialWindowSize, config_.initial_window},
-      {kSettingsMaxFrameSize, config_.max_frame_size},
+      {kSettingsMaxConcurrentStreams, kDefaultMaxConcurrentStreams},
+      {kSettingsInitialWindowSize, kDefaultInitialWindow},
+      {kSettingsMaxFrameSize, kDefaultMaxFrameSize},
   });
   emit(std::move(settings));
-  if (config_.initial_window > kDefaultInitialWindow) {
-    const std::uint32_t inc = config_.initial_window - kDefaultInitialWindow;
-    Frame wu;
-    wu.type = FrameType::kWindowUpdate;
-    wu.payload = encode_window_update_payload(inc);
-    emit(std::move(wu));
-    conn_recv_window_ += inc;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -88,10 +78,7 @@ Session::Stream& Session::open_stream(std::uint32_t id, bool is_push,
   s.weight = weight;
   s.is_push = is_push;
   s.send_window = peer_initial_window_;
-  s.recv_window = config_.initial_window;
-  s.tl.id = id;
-  s.tl.push = is_push;
-  s.tl.opened = clock_.now();
+  s.recv_window = kDefaultInitialWindow;
   stats_.streams_opened++;
   metrics_.streams_opened.inc();
   return streams_.emplace(id, std::move(s)).first->second;
@@ -113,12 +100,6 @@ bool is_closed(bool reset, bool local_closed, bool remote_closed) {
 }
 }  // namespace
 
-void Session::maybe_close(Stream& s) {
-  s.tl.reset = s.reset;
-  if (is_closed(s.reset, s.local_closed, s.remote_closed) && s.tl.closed == 0)
-    s.tl.closed = clock_.now();
-}
-
 bool Session::stream_closed(std::uint32_t id) const {
   const Stream* s = find(id);
   return s != nullptr && is_closed(s->reset, s->local_closed, s->remote_closed);
@@ -133,13 +114,6 @@ const http::Response* Session::stream_partial(std::uint32_t id) const {
   const Stream* s = find(id);
   if (s == nullptr || !s->headers_received) return nullptr;
   return &s->response;
-}
-
-std::vector<StreamTimeline> Session::timelines() const {
-  std::vector<StreamTimeline> out;
-  out.reserve(streams_.size());
-  for (const auto& [id, s] : streams_) out.push_back(s.tl);
-  return out;
 }
 
 std::optional<std::int64_t> Session::stream_send_window(
@@ -219,15 +193,10 @@ void Session::pump_streams() {
     s->send_window -= static_cast<std::int64_t>(n);
     conn_send_window_ -= static_cast<std::int64_t>(n);
     s->stalled = false;
-    s->tl.data_bytes += n;
-    if (s->tl.first_data == 0) s->tl.first_data = clock_.now();
     stats_.data_bytes_sent += n;
     metrics_.data_bytes_sent.inc(n);
     emit(std::move(f));
-    if (fin) {
-      s->local_closed = true;
-      maybe_close(*s);
-    }
+    if (fin) s->local_closed = true;
   }
   note_stalls();
 }
@@ -237,7 +206,6 @@ void Session::note_stalls() {
     if (s.reset || s.send_queue.empty() || s.stalled) continue;
     if (s.send_window <= 0 || conn_send_window_ <= 0) {
       s.stalled = true;
-      s.tl.flow_stalls++;
       stats_.flow_stalls++;
       metrics_.flow_stalls.inc();
     }
@@ -261,7 +229,6 @@ std::uint32_t Session::submit_request(const http::Request& req,
   f.stream_id = id;
   f.payload = encode_request_block(req);
   s.local_closed = true;
-  s.tl.headers = clock_.now();
   emit(std::move(f));
   return id;
 }
@@ -277,7 +244,6 @@ void Session::submit_response(std::uint32_t stream_id,
   f.payload = encode_response_block(res);
   const bool has_body = !res.status_forbids_body() && !res.body.empty();
   if (!has_body) f.flags |= kFlagEndStream;
-  if (s->tl.headers == 0) s->tl.headers = clock_.now();
   emit(std::move(f));
   if (has_body) {
     s->send_queue.append(res.body);
@@ -285,7 +251,6 @@ void Session::submit_response(std::uint32_t stream_id,
     pump_streams();
   } else {
     s->local_closed = true;
-    maybe_close(*s);
   }
 }
 
@@ -327,7 +292,6 @@ void Session::reset_stream(std::uint32_t id, ErrorCode code) {
     s->reset = true;
     s->send_queue.clear();
     s->end_after_send = false;
-    maybe_close(*s);
   }
   emit(std::move(f));
 }
@@ -477,8 +441,8 @@ void Session::handle_window_update(const Frame& f) {
 }
 
 void Session::account_receive(Stream* s, std::size_t n) {
-  if (!config_.auto_window_update || n == 0) return;
-  const std::uint32_t half = config_.initial_window / 2;
+  if (n == 0) return;
+  const std::uint32_t half = kDefaultInitialWindow / 2;
   conn_recv_consumed_ += static_cast<std::uint32_t>(n);
   if (conn_recv_consumed_ >= half) {
     Frame wu;
@@ -536,8 +500,6 @@ void Session::handle_data(Frame& f) {
     connection_error(ErrorCode::kProtocolError, "DATA before HEADERS");
     return;
   }
-  if (s->tl.first_data == 0) s->tl.first_data = clock_.now();
-  s->tl.data_bytes += n;
   stats_.data_bytes_received += n;
   metrics_.data_bytes_received.inc(n);
   const bool fin = f.has_flag(kFlagEndStream);
@@ -552,7 +514,6 @@ void Session::handle_data(Frame& f) {
   if (!config_.is_server && on_stream_data) on_stream_data(s->id, n);
   if (fin) {
     s->remote_closed = true;
-    maybe_close(*s);
     if (config_.is_server) {
       last_processed_peer_id_ = std::max(last_processed_peer_id_, s->id);
       if (on_request) on_request(s->id, std::move(s->request));
@@ -580,7 +541,7 @@ void Session::handle_headers(const Frame& f) {
       return;
     }
     if (goaway_sent_ ||
-        open_stream_count() >= config_.max_concurrent_streams) {
+        open_stream_count() >= kDefaultMaxConcurrentStreams) {
       // Refused before any processing: the client may retry elsewhere.
       Frame rst;
       rst.type = FrameType::kRstStream;
@@ -590,7 +551,6 @@ void Session::handle_headers(const Frame& f) {
       return;
     }
     Stream& s = open_stream(f.stream_id, /*is_push=*/false, 16);
-    s.tl.headers = clock_.now();
     if (f.has_flag(kFlagEndStream)) {
       s.remote_closed = true;
       s.request = std::move(*req);
@@ -621,10 +581,8 @@ void Session::handle_headers(const Frame& f) {
   }
   s->headers_received = true;
   s->response = std::move(*res);
-  if (s->tl.headers == 0) s->tl.headers = clock_.now();
   if (f.has_flag(kFlagEndStream)) {
     s->remote_closed = true;
-    maybe_close(*s);
     if (s->is_push) {
       if (on_push_response) on_push_response(s->id, std::move(s->response));
     } else {
@@ -660,7 +618,6 @@ void Session::handle_push_promise(const Frame& f) {
   highest_peer_id_ = promise->promised_id;
   Stream& s = open_stream(promise->promised_id, /*is_push=*/true, 8);
   s.local_closed = true;  // we never send on a promised stream
-  s.tl.headers = clock_.now();
   const bool accept =
       config_.enable_push &&
       (!on_push_promise || on_push_promise(s.id, promise->request));
@@ -682,7 +639,6 @@ void Session::handle_rst(const Frame& f) {
   s->reset = true;
   s->send_queue.clear();
   s->end_after_send = false;
-  maybe_close(*s);
   if (on_stream_reset)
     on_stream_reset(f.stream_id, static_cast<ErrorCode>(code));
 }

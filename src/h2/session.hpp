@@ -16,55 +16,30 @@
 //     MAX_FRAME_SIZE is sent per pick.
 //   - Streams live in an id-ordered map; every callback fires in frame
 //     arrival order. No hashing, no pointer-order iteration anywhere.
-//   - Window replenishment (auto WINDOW_UPDATE) triggers at exactly half the
+//   - Window replenishment (WINDOW_UPDATE) triggers at exactly half the
 //     initial window, per stream and per connection.
+//   - Every session advertises the RFC 7540 defaults — MAX_CONCURRENT_STREAMS
+//     100, INITIAL_WINDOW_SIZE 65535, MAX_FRAME_SIZE 16384 — plus its
+//     ENABLE_PUSH choice.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
-#include <vector>
 
 #include "buf/bytes.hpp"
 #include "h2/frame.hpp"
 #include "http/message.hpp"
 #include "obs/metrics.hpp"
-#include "sim/event_queue.hpp"
 
 namespace hsim::h2 {
 
 struct SessionConfig {
   bool is_server = false;
-  /// Our receive window per stream, advertised via SETTINGS; also raises the
-  /// connection window above the 65535 default via an immediate
-  /// WINDOW_UPDATE when larger.
-  std::uint32_t initial_window = kDefaultInitialWindow;
-  std::uint32_t max_frame_size = kDefaultMaxFrameSize;
-  std::uint32_t max_concurrent_streams = kDefaultMaxConcurrentStreams;
   /// Whether we accept PUSH_PROMISE (clients) / intend to push (servers).
   /// Advertised to the peer in SETTINGS ENABLE_PUSH.
   bool enable_push = true;
-  /// Replenish stream/connection receive windows automatically once half the
-  /// initial window has been consumed. Tests disable this to drive windows
-  /// by hand.
-  bool auto_window_update = true;
-};
-
-/// Per-stream lifecycle record surfaced through `timelines()` — when a
-/// stream opened, when its HEADERS went by, first DATA byte, close, and how
-/// often it stalled on flow control.
-struct StreamTimeline {
-  std::uint32_t id = 0;
-  bool push = false;
-  sim::Time opened = 0;
-  sim::Time headers = 0;
-  sim::Time first_data = 0;
-  sim::Time closed = 0;
-  std::uint64_t data_bytes = 0;
-  std::uint64_t flow_stalls = 0;
-  bool reset = false;
 };
 
 /// Plain-value counters mirrored into `h2.*` registry metrics when a
@@ -92,7 +67,7 @@ class Session {
   /// A client session emits the connection preface + SETTINGS immediately;
   /// a server session emits its SETTINGS (the owner consumes the preface
   /// before constructing the session).
-  Session(sim::EventQueue& clock, SessionConfig config, WriteFn write);
+  Session(SessionConfig config, WriteFn write);
 
   // ---- Input ----------------------------------------------------------
 
@@ -169,11 +144,8 @@ class Session {
   bool stream_was_reset(std::uint32_t id) const;
 
   const SessionStats& stats() const { return stats_; }
-  /// Timeline snapshot in stream-id order (open streams included).
-  std::vector<StreamTimeline> timelines() const;
 
   std::int64_t conn_send_window() const { return conn_send_window_; }
-  std::int64_t conn_recv_window() const { return conn_recv_window_; }
   std::optional<std::int64_t> stream_send_window(std::uint32_t id) const;
   std::size_t open_stream_count() const;
   /// Bytes queued behind flow control across all streams.
@@ -196,7 +168,6 @@ class Session {
     buf::Chain send_queue;
     bool end_after_send = false;
     bool stalled = false;
-    StreamTimeline tl;
   };
 
   struct Metrics {
@@ -222,7 +193,6 @@ class Session {
   void pump_streams();
   Stream* pick_next_stream();
   void note_stalls();
-  void maybe_close(Stream& s);
   void connection_error(ErrorCode code, std::string message);
   void account_receive(Stream* s, std::size_t n);
 
@@ -234,7 +204,6 @@ class Session {
   void handle_rst(const Frame& f);
   void handle_goaway(const Frame& f);
 
-  sim::EventQueue& clock_;
   SessionConfig config_;
   WriteFn write_;
   FrameDecoder decoder_;

@@ -116,9 +116,8 @@ void apply_chaos(ChaosFault fault, ExperimentSpec& spec) {
 }
 
 bool cache_matches_site(const client::Cache& cache,
-                        const content::MicroscapeSite& site,
-                        const std::string& root) {
-  const client::CacheEntry* html = cache.find(root);
+                        const content::MicroscapeSite& site) {
+  const client::CacheEntry* html = cache.find("/index.html");
   if (html == nullptr) return false;
   if (!html->body.equals(std::string_view(site.html))) return false;
   for (const content::SiteImage& image : site.images) {

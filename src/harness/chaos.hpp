@@ -39,11 +39,10 @@ std::vector<ChaosFault> all_chaos_faults();
 /// backoff, 5xx retry) so the run terminates under every regime.
 void apply_chaos(ChaosFault fault, ExperimentSpec& spec);
 
-/// True iff `cache` holds the root document and every site image with
+/// True iff `cache` holds "/index.html" and every site image with
 /// byte-identical bodies — the retrieval survived the fault unscathed.
 bool cache_matches_site(const client::Cache& cache,
-                        const content::MicroscapeSite& site,
-                        const std::string& root = "/index.html");
+                        const content::MicroscapeSite& site);
 
 struct ChaosOutcome {
   RunResult result;

@@ -9,15 +9,6 @@
 
 namespace hsim::harness {
 
-std::string_view to_string(TopoFaultKind kind) {
-  switch (kind) {
-    case TopoFaultKind::kRouterCrash: return "router-crash";
-    case TopoFaultKind::kBottleneckFlap: return "bottleneck-flap";
-    case TopoFaultKind::kQueueWedge: return "queue-wedge";
-  }
-  return "?";
-}
-
 bool SoakResult::ok() const {
   if (!violations.empty() || violations_suppressed != 0) return false;
   if (!workload.all_resolved()) return false;

@@ -43,7 +43,6 @@ enum class TopoFaultKind {
   /// wedge lifts `duration` later.
   kQueueWedge,
 };
-std::string_view to_string(TopoFaultKind kind);
 
 struct TopoFaultEvent {
   TopoFaultKind kind = TopoFaultKind::kBottleneckFlap;

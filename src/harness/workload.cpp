@@ -282,7 +282,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
           });
     }
     topo = redundant ? builder.dumbbell_redundant(client_hosts, &server_host,
-                                                  access, spec, config.failover)
+                                                  access, spec)
                      : builder.dumbbell(client_hosts, &server_host, access, spec);
     for (const std::string& name : bn_links) topo.link(name)->set_tap(tap);
     if (config.hop_trace) topo.set_hop_trace(config.hop_trace);
@@ -327,7 +327,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
   std::vector<char> resolved(n, 0);
   for (unsigned i = 0; i < n; ++i) {
     engine.queue(shard_of_client(i)).schedule_at(arrivals[i], [&, i] {
-      robots[i]->start_first_visit(config.root,
+      robots[i]->start_first_visit("/index.html",
                                    [&resolved, i] { resolved[i] = 1; });
     });
   }
@@ -367,8 +367,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
           static_cast<std::uint64_t>(out.page_seconds() * 1000.0));
     }
     if (config.verify_cache && out.stats.complete) {
-      out.byte_exact =
-          cache_matches_site(robots[i]->cache(), site, config.root);
+      out.byte_exact = cache_matches_site(robots[i]->cache(), site);
     }
   }
   // Registry-backed, like run_once: the bottleneck tap feeds the trace.*

@@ -104,9 +104,6 @@ struct WorkloadConfig {
   /// the primary pair only.
   std::function<void(net::LinkConfig&)> mutate_bottleneck;
 
-  /// kDumbbellRedundant only: failover detection delay.
-  topo::FailoverSpec failover;
-
   /// Dumbbell shapes only: called with the freshly-built topology and the
   /// event queue before any client starts. Fault timelines use it to grab
   /// router pointers and schedule crashes / wedges; oracles to capture the
@@ -128,7 +125,6 @@ struct WorkloadConfig {
   client::ClientConfig client;
 
   std::uint64_t master_seed = 1;
-  std::string root = "/index.html";
 
   /// Hard horizon for the measured phase; generous, only guards stalls.
   sim::Time horizon = sim::seconds(600);

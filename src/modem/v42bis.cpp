@@ -4,16 +4,12 @@
 
 namespace hsim::modem {
 
-V42bis::V42bis(unsigned dictionary_size)
-    : dictionary_size_(std::max(512u, dictionary_size)) {}
-
 void V42bis::reset() {
   dict_.clear();
   next_code_ = 259;
   code_width_ = 9;
   current_ = UINT32_MAX;
   total_in_ = 0;
-  total_out_ = 0;
 }
 
 std::size_t V42bis::lzw_bits(std::span<const std::uint8_t> payload) {
@@ -29,7 +25,7 @@ std::size_t V42bis::lzw_bits(std::span<const std::uint8_t> payload) {
       continue;
     }
     bits += code_width_;  // emit `current_`
-    if (next_code_ < dictionary_size_) {
+    if (next_code_ < kDictionarySize) {
       dict_[key] = next_code_++;
       if (next_code_ > (1u << code_width_) && code_width_ < 11) {
         ++code_width_;
@@ -54,7 +50,6 @@ std::size_t V42bis::process(std::span<const std::uint8_t> payload) {
   std::size_t compressed = (bits + 7) / 8 + 1;
   // Transparent mode: never transmit more than payload + 1 escape byte.
   compressed = std::min(compressed, payload.size() + 1);
-  total_out_ += compressed;
   return compressed;
 }
 
@@ -64,11 +59,6 @@ net::Link::PayloadSizer make_modem_sizer(std::shared_ptr<V42bis> state) {
         std::span<const std::uint8_t>(packet.payload.data(),
                                       packet.payload.size()));
   };
-}
-
-std::size_t v42bis_compressed_size(std::span<const std::uint8_t> data) {
-  V42bis v;
-  return v.process(data);
 }
 
 }  // namespace hsim::modem

@@ -1,7 +1,7 @@
 // V.42bis-style modem data compression (BTLZ), modelled for the PPP link.
 //
 // V.42bis is an LZW dictionary compressor running inside the modem pair with
-// a small dictionary (default 2048 codewords, max 11-bit codes) and a
+// a small dictionary (2048 codewords, max 11-bit codes) and a
 // transparent mode that stops expansion on incompressible data. The paper's
 // §8.2.1 shows deflate beating it decisively on HTML; this model reproduces
 // that gap with a real streaming LZW over the byte stream crossing the link.
@@ -24,39 +24,27 @@ namespace hsim::modem {
 
 class V42bis {
  public:
-  explicit V42bis(unsigned dictionary_size = 2048);
-
   /// Feeds payload bytes through the compressor and returns the number of
   /// bytes emitted on the physical medium for this chunk (compressed size,
   /// or payload size + 1 escape byte when transparent mode wins).
   std::size_t process(std::span<const std::uint8_t> payload);
 
   std::uint64_t total_in() const { return total_in_; }
-  std::uint64_t total_out() const { return total_out_; }
-  double ratio() const {
-    return total_in_ == 0 ? 1.0
-                          : static_cast<double>(total_out_) /
-                                static_cast<double>(total_in_);
-  }
   void reset();
 
  private:
   std::size_t lzw_bits(std::span<const std::uint8_t> payload);
 
-  unsigned dictionary_size_;
+  static constexpr std::uint32_t kDictionarySize = 2048;
   std::map<std::uint32_t, std::uint32_t> dict_;  // (prefix<<8|byte) -> code
   std::uint32_t next_code_ = 259;  // 0-255 roots + 3 control codes
   unsigned code_width_ = 9;
   std::uint32_t current_ = UINT32_MAX;  // cross-packet match state
   std::uint64_t total_in_ = 0;
-  std::uint64_t total_out_ = 0;
 };
 
 /// Wraps a shared compressor state as a Link payload sizer. Each direction
 /// of a modem link owns its own dictionary (as the two modems do).
 net::Link::PayloadSizer make_modem_sizer(std::shared_ptr<V42bis> state);
-
-/// One-shot convenience: steady-state compressed size of a document.
-std::size_t v42bis_compressed_size(std::span<const std::uint8_t> data);
 
 }  // namespace hsim::modem

@@ -230,7 +230,6 @@ class Link {
   std::size_t queued_packets() const { return tx_queue_.size(); }
 
   const LinkStats& stats() const { return stats_; }
-  const LinkConfig& config() const { return config_; }
 
  private:
   void start_next_transmission();

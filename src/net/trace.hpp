@@ -90,7 +90,6 @@ class PacketTrace {
   /// Direction classification requires knowing which address is the client.
   explicit PacketTrace(IpAddr client_addr = 0) : client_addr_(client_addr) {}
 
-  void set_client_addr(IpAddr addr) { client_addr_ = addr; }
 
   void record(sim::Time time, const Packet& packet);
 

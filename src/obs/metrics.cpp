@@ -141,15 +141,10 @@ Snapshot Registry::snapshot() const {
   return s;
 }
 
-void Registry::enable_timelines(std::size_t capacity) {
-  timelines_enabled_ = true;
-  timeline_capacity_ = capacity;
-}
-
 ConnTimeline* Registry::make_timeline(std::string label) {
   if (!timelines_enabled_) return nullptr;
   timelines_.push_back(
-      std::make_unique<ConnTimeline>(std::move(label), timeline_capacity_));
+      std::make_unique<ConnTimeline>(std::move(label), /*capacity=*/512));
   return timelines_.back().get();
 }
 

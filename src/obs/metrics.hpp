@@ -170,13 +170,10 @@ class Registry {
 
   // ---- Per-connection TCP timelines --------------------------------------
   /// Off by default; when enabled, tcp::Connection allocates an event ring
-  /// per connection. `capacity` is events retained per connection (ring).
-  void enable_timelines(std::size_t capacity = 512);
+  /// per connection that retains its last 512 events.
+  void enable_timelines() { timelines_enabled_ = true; }
   bool timelines_enabled() const { return timelines_enabled_; }
   ConnTimeline* make_timeline(std::string label);
-  const std::vector<std::unique_ptr<ConnTimeline>>& timelines() const {
-    return timelines_;
-  }
   /// First timeline whose label contains `needle`, or nullptr.
   const ConnTimeline* find_timeline(std::string_view needle) const;
 
@@ -185,7 +182,6 @@ class Registry {
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
   bool timelines_enabled_ = false;
-  std::size_t timeline_capacity_ = 512;
   std::vector<std::unique_ptr<ConnTimeline>> timelines_;
 };
 

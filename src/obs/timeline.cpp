@@ -1,25 +1,6 @@
 #include "obs/timeline.hpp"
 
-#include <cstdio>
-
 namespace hsim::obs {
-
-std::string_view to_string(TlKind k) {
-  switch (k) {
-    case TlKind::kStateChange: return "state";
-    case TlKind::kSegSent: return "seg-sent";
-    case TlKind::kSegRecvd: return "seg-recvd";
-    case TlKind::kCwndChange: return "cwnd";
-    case TlKind::kRtoFire: return "rto-fire";
-    case TlKind::kFastRetransmit: return "fast-rexmit";
-    case TlKind::kDelayedAck: return "delayed-ack";
-    case TlKind::kNagleHold: return "nagle-hold";
-    case TlKind::kRstSent: return "rst-sent";
-    case TlKind::kRstRecvd: return "rst-recvd";
-    case TlKind::kNote: return "note";
-  }
-  return "?";
-}
 
 ConnTimeline::ConnTimeline(std::string label, std::size_t capacity)
     : label_(std::move(label)), capacity_(capacity == 0 ? 1 : capacity) {
@@ -31,7 +12,6 @@ void ConnTimeline::record(sim::Time time, TlKind kind, std::uint8_t flags,
   ring_[head_] = TlEvent{time, kind, flags, a, b};
   head_ = (head_ + 1) % capacity_;
   if (size_ < capacity_) ++size_;
-  ++recorded_;
 }
 
 std::vector<TlEvent> ConnTimeline::events() const {
@@ -40,26 +20,6 @@ std::vector<TlEvent> ConnTimeline::events() const {
   const std::size_t start = (head_ + capacity_ - size_) % capacity_;
   for (std::size_t i = 0; i < size_; ++i) {
     out.push_back(ring_[(start + i) % capacity_]);
-  }
-  return out;
-}
-
-std::string ConnTimeline::dump() const {
-  std::string out = "timeline " + label_ + "\n";
-  if (dropped() > 0) {
-    char hdr[64];
-    std::snprintf(hdr, sizeof hdr, "  (%llu earlier events dropped)\n",
-                  static_cast<unsigned long long>(dropped()));
-    out += hdr;
-  }
-  char line[160];
-  for (const TlEvent& e : events()) {
-    std::snprintf(line, sizeof line,
-                  "  %10.6f  %-12s flags=%02x a=%llu b=%llu\n",
-                  sim::to_seconds(e.time), std::string(to_string(e.kind)).c_str(),
-                  e.flags, static_cast<unsigned long long>(e.a),
-                  static_cast<unsigned long long>(e.b));
-    out += line;
   }
   return out;
 }

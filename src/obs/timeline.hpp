@@ -3,11 +3,11 @@
 // fires) with simulated timestamps.
 //
 // The obs layer stays protocol-agnostic: events carry a kind tag plus three
-// numeric arguments whose meaning is defined by the recorder (tcp::Connection
-// documents its encoding next to tcp::format_timeline, which renders the
-// human-readable annotated trace). Timelines exist only while a Registry with
-// enable_timelines() is installed; otherwise connections hold a null pointer
-// and recording is a no-op branch.
+// numeric arguments whose meaning is defined by the recorder (the encoding
+// tcp::Connection uses is listed next to each kind below). Readers — the
+// TCP tests — walk events() directly. Timelines exist only while a Registry
+// with enable_timelines() is installed; otherwise connections hold a null
+// pointer and recording is a no-op branch.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +32,6 @@ enum class TlKind : std::uint8_t {
   kNote,            // free-form marker; a/b recorder-defined
 };
 
-std::string_view to_string(TlKind k);
-
 struct TlEvent {
   sim::Time time = 0;
   TlKind kind = TlKind::kNote;
@@ -52,15 +50,6 @@ class ConnTimeline {
   const std::string& label() const { return label_; }
   /// Events in chronological order (oldest retained first).
   std::vector<TlEvent> events() const;
-  /// Total events ever recorded (>= events().size() once the ring wraps).
-  std::uint64_t recorded() const { return recorded_; }
-  std::uint64_t dropped() const {
-    return recorded_ - static_cast<std::uint64_t>(size_);
-  }
-
-  /// Generic rendering: timestamp, kind, numeric args. Protocol layers
-  /// provide richer annotators (see tcp::format_timeline).
-  std::string dump() const;
 
  private:
   std::string label_;
@@ -68,7 +57,6 @@ class ConnTimeline {
   std::size_t capacity_;
   std::size_t head_ = 0;  // next write slot
   std::size_t size_ = 0;  // events currently retained
-  std::uint64_t recorded_ = 0;
 };
 
 }  // namespace hsim::obs

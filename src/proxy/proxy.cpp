@@ -4,6 +4,13 @@
 
 namespace hsim::proxy {
 
+namespace {
+
+/// The Via header the HTTP proxy adds to every message it forwards.
+constexpr const char* kViaToken = "1.0 hsim-proxy";
+
+}  // namespace
+
 ProxyMetrics ProxyMetrics::bind() {
   ProxyMetrics m;
   if (obs::registry() == nullptr) return m;
@@ -33,13 +40,10 @@ TunnelProxy::TunnelProxy(tcp::Host& host, TunnelProxyConfig config)
     : host_(host), config_(std::move(config)) {}
 
 void TunnelProxy::start(net::Port port) {
-  port_ = port;
   host_.listen(port,
                [this](tcp::ConnectionPtr c) { on_client(std::move(c)); },
                config_.tcp);
 }
-
-void TunnelProxy::stop() { host_.stop_listening(port_); }
 
 void TunnelProxy::arm_idle(const RelayPtr& relay) {
   if (config_.idle_timeout <= 0) return;
@@ -169,13 +173,10 @@ HttpProxy::HttpProxy(tcp::Host& host, HttpProxyConfig config)
     : host_(host), config_(std::move(config)) {}
 
 void HttpProxy::start(net::Port port) {
-  port_ = port;
   host_.listen(port,
                [this](tcp::ConnectionPtr c) { on_client(std::move(c)); },
                config_.tcp);
 }
-
-void HttpProxy::stop() { host_.stop_listening(port_); }
 
 void HttpProxy::strip_hop_by_hop(http::Headers& headers, ProxyStats& stats) {
   // Remove any headers the Connection header names, then Connection itself
@@ -260,7 +261,7 @@ void HttpProxy::pump(const ClientConnPtr& state) {
 void HttpProxy::respond(const ClientConnPtr& state, http::Response response) {
   ++stats_.responses_forwarded;
   strip_hop_by_hop(response.headers, stats_);
-  response.headers.add("Via", config_.via_token);
+  response.headers.add("Via", kViaToken);
   const buf::Chain wire = response.serialize_chain();
   stats_.bytes_relayed_down += wire.size();
   metrics_.bytes_down.inc(wire.size());
@@ -501,7 +502,7 @@ void HttpProxy::forward(const ClientConnPtr& state, http::Request request) {
   ++stats_.requests_forwarded;
   metrics_.requests_forwarded.inc();
   strip_hop_by_hop(request.headers, stats_);
-  request.headers.add("Via", config_.via_token);
+  request.headers.add("Via", kViaToken);
 
   if (try_cache(state, request)) return;
   if (!breaker_allows()) {

@@ -98,7 +98,6 @@ class TunnelProxy {
   TunnelProxy(tcp::Host& host, TunnelProxyConfig config);
 
   void start(net::Port port = 8080);
-  void stop();
 
   const ProxyStats& stats() const { return stats_; }
 
@@ -123,7 +122,6 @@ class TunnelProxy {
 
   tcp::Host& host_;
   TunnelProxyConfig config_;
-  net::Port port_ = 8080;
   ProxyStats stats_;
   ProxyMetrics metrics_ = ProxyMetrics::bind();
   std::map<const tcp::Connection*, RelayPtr> relays_;
@@ -136,7 +134,6 @@ struct HttpProxyConfig {
   /// proxy behaviour, which is what 1997 deployments did).
   sim::Time idle_timeout = sim::seconds(60);
   sim::Time per_request_cpu = sim::milliseconds(1);
-  std::string via_token = "1.0 hsim-proxy";
   tcp::TcpOptions tcp;
 
   /// Caching proxy mode (paper's conclusion: HTTP/1.1's cheap revalidation
@@ -162,7 +159,6 @@ class HttpProxy {
   HttpProxy(tcp::Host& host, HttpProxyConfig config);
 
   void start(net::Port port = 8080);
-  void stop();
 
   const ProxyStats& stats() const { return stats_; }
 
@@ -206,7 +202,6 @@ class HttpProxy {
 
   tcp::Host& host_;
   HttpProxyConfig config_;
-  net::Port port_ = 8080;
   ProxyStats stats_;
   ProxyMetrics metrics_ = ProxyMetrics::bind();
   std::map<const tcp::Connection*, ClientConnPtr> clients_;

@@ -53,11 +53,6 @@ struct ServerFaults {
   /// Per-request probability of answering "500 Internal Server Error"
   /// instead of serving the resource.
   double error_probability = 0.0;
-
-  bool any() const {
-    return stall_after_bytes > 0 || premature_close_after_bytes > 0 ||
-           error_probability > 0.0;
-  }
 };
 
 struct ServerConfig {
@@ -69,9 +64,6 @@ struct ServerConfig {
   /// close path). This is a large part of why HTTP/1.0's one-connection-per-
   /// object model loses on elapsed time even on a LAN.
   sim::Time per_connection_cpu = sim::milliseconds(3);
-  /// Multiplicative jitter on the CPU time (models load / GC noise).
-  double cpu_jitter = 0.15;
-
   /// Response output buffer: flushed when full, or when the connection has
   /// no further pipelined requests pending ("before it goes idle").
   std::size_t output_buffer = 8192;
@@ -88,15 +80,8 @@ struct ServerConfig {
   /// HTTP/1.1 implementations).
   bool nodelay = true;
 
-  /// Whether HTTP/1.1 persistent connections are offered. (HTTP/1.0
-  /// requests are still honoured either way.)
-  bool http11 = true;
-
   /// Honour HTTP/1.0 "Connection: Keep-Alive".
   bool keep_alive = true;
-
-  /// Serve precompressed variants when the client accepts deflate.
-  bool support_deflate = true;
 
   /// Close connections idle longer than this (0 = never).
   sim::Time idle_timeout = sim::seconds(30);
@@ -119,22 +104,6 @@ struct ServerConfig {
   /// Clients that honor it spread their re-issues instead of stampeding the
   /// instant a slot frees.
   sim::Time overload_retry_after = 0;
-
-  // ---- HTTP/2-style framing ----------------------------------------------
-  /// Accept h2 connections (detected by the 24-byte client preface). An
-  /// HTTP/1.x client never sends the preface, so enabling this leaves the
-  /// 1.x byte stream untouched.
-  bool h2_enabled = true;
-
-  /// Push embedded resources (the Microscape `src=` graph) on h2
-  /// connections whose client advertised ENABLE_PUSH.
-  bool h2_push = true;
-
-  /// SETTINGS_MAX_CONCURRENT_STREAMS advertised to h2 clients.
-  std::uint32_t h2_max_concurrent_streams = 100;
-
-  /// Per-stream receive window advertised to h2 clients.
-  std::uint32_t h2_initial_window = 65535;
 
   /// Extra response headers (header verbosity differs across servers; this
   /// affects the byte counts in the tables).

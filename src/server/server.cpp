@@ -10,7 +10,8 @@ namespace hsim::server {
 
 namespace {
 
-ServerConfig base_config() { return ServerConfig{}; }
+/// Multiplicative jitter on the per-request CPU time (load / GC noise).
+constexpr double kCpuJitter = 0.15;
 
 /// Parses "bytes=a-b" (single range). Returns false if absent/malformed.
 bool parse_byte_range(std::string_view value, std::size_t entity_size,
@@ -50,7 +51,7 @@ bool parse_byte_range(std::string_view value, std::size_t entity_size,
 }  // namespace
 
 ServerConfig jigsaw_config() {
-  ServerConfig c = base_config();
+  ServerConfig c;
   c.server_name = "Jigsaw/1.06";
   c.per_request_cpu = sim::milliseconds(6);
   c.per_connection_cpu = sim::milliseconds(5);  // interpreted Java accept path
@@ -60,7 +61,7 @@ ServerConfig jigsaw_config() {
 }
 
 ServerConfig apache_config() {
-  ServerConfig c = base_config();
+  ServerConfig c;
   c.server_name = "Apache/1.2b10";
   c.per_request_cpu = sim::microseconds(1800);
   c.per_connection_cpu = sim::microseconds(2500);
@@ -86,14 +87,11 @@ HttpServer::HttpServer(tcp::Host& host, StaticSite site, ServerConfig config,
       rng_(rng) {}
 
 void HttpServer::start(net::Port port) {
-  port_ = port;
   tcp::TcpOptions opts = config_.tcp;
   opts.nodelay = config_.nodelay;
   host_.listen(port, [this](tcp::ConnectionPtr c) { on_accept(std::move(c)); },
                opts, tcp::ListenConfig{config_.listen_backlog});
 }
-
-void HttpServer::stop() { host_.stop_listening(port_); }
 
 HttpServer::Metrics HttpServer::Metrics::bind() {
   Metrics m;
@@ -258,7 +256,7 @@ void HttpServer::on_data(const ConnStatePtr& state) {
     state->h2->receive(state->conn->read_all());
     return;
   }
-  if (config_.h2_enabled && !state->h1_classified) {
+  if (!state->h1_classified) {
     // Classify by comparing arrived bytes against the 24-byte h2 preface.
     // Every HTTP/1.x method diverges within its first bytes ("PRI" vs
     // "POST" at index 1), so classification resolves on the first segment
@@ -300,17 +298,12 @@ void HttpServer::on_data(const ConnStatePtr& state) {
 void HttpServer::start_h2(const ConnStatePtr& state) {
   ++stats_.h2_connections;
   state->preface_buf.pop_front(h2::kClientPreface.size());
-  h2::SessionConfig sc;
-  sc.is_server = true;
-  sc.enable_push = config_.h2_push;
-  sc.max_concurrent_streams = config_.h2_max_concurrent_streams;
-  sc.initial_window = config_.h2_initial_window;
   std::weak_ptr<ConnState> weak = state;
   // The session writes through the connection's unsent queue, so the wire
   // fault injections (stall-after-bytes, premature close) apply to h2
   // traffic exactly as they do to HTTP/1.x responses.
   state->h2 = std::make_unique<h2::Session>(
-      host_.event_queue(), sc, [this, weak](buf::Chain&& bytes) {
+      h2::SessionConfig{.is_server = true}, [this, weak](buf::Chain&& bytes) {
         if (auto s = weak.lock()) {
           s->out_unsent.append(std::move(bytes));
           pump_unsent(s);
@@ -352,7 +345,7 @@ void HttpServer::process_next(const ConnStatePtr& state) {
   state->processing = true;
   const sim::Time cpu = static_cast<sim::Time>(
       static_cast<double>(config_.per_request_cpu) *
-      rng_.jitter(config_.cpu_jitter));
+      rng_.jitter(kCpuJitter));
   // Serialize on the single CPU across all connections.
   const sim::Time now = host_.event_queue().now();
   const sim::Time start = std::max(now, cpu_free_at_);
@@ -429,7 +422,7 @@ http::Response HttpServer::build_response(const http::Request& request) {
   // Content negotiation: precompressed deflate variant.
   const buf::Bytes* body = &resource->data;
   bool deflated = false;
-  if (config_.support_deflate && !resource->deflated.empty() &&
+  if (!resource->deflated.empty() &&
       request.headers.has_token("Accept-Encoding", "deflate")) {
     body = &resource->deflated;
     deflated = true;
@@ -514,8 +507,6 @@ void HttpServer::finish_request(const ConnStatePtr& state,
     } else {
       close_after = true;
     }
-  } else if (!config_.http11) {
-    close_after = true;
   }
   if (config_.max_requests_per_connection != 0 &&
       state->served >= config_.max_requests_per_connection) {
@@ -555,7 +546,7 @@ void HttpServer::finish_request_h2(const ConnStatePtr& state,
     http::Request req;
   };
   std::vector<PendingPush> pushes;
-  if (config_.h2_push && state->h2->peer_push_enabled() && res.status == 200 &&
+  if (state->h2->peer_push_enabled() && res.status == 200 &&
       request.method == http::Method::kGet) {
     const Resource* resource = site_.find(request.target);
     if (resource != nullptr &&

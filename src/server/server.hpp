@@ -1,7 +1,9 @@
 // The HTTP server: accepts connections on a tcp::Host, parses possibly
 // pipelined requests, serves the static site with correct HTTP/1.0 and 1.1
 // semantics (persistent connections, conditional GET, HEAD, byte ranges,
-// content coding), and buffers responses with flush-on-idle.
+// content coding), and buffers responses with flush-on-idle. Every server
+// also accepts h2 connections (recognised by the client preface) and pushes
+// a page's embedded images to h2 clients that advertise ENABLE_PUSH.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +54,8 @@ class HttpServer {
 
   /// Begins accepting connections on `port`.
   void start(net::Port port = 80);
-  void stop();
 
   const ServerStats& stats() const { return stats_; }
-  const ServerConfig& config() const { return config_; }
 
   /// Mutable access to the served site (e.g. revising resources between a
   /// first visit and a revalidation, to exercise range validation).
@@ -120,7 +120,6 @@ class HttpServer {
   StaticSite site_;
   ServerConfig config_;
   sim::Rng rng_;
-  net::Port port_ = 80;
   ServerStats stats_;
   /// Single-CPU model: request processing serializes across ALL connections
   /// (a 1997 server did not process four parallel connections' requests

@@ -60,8 +60,6 @@ ShardedEngine::~ShardedEngine() {
   for (std::thread& t : threads_) t.join();
 }
 
-std::size_t ShardedEngine::current_shard() { return tls_current_shard; }
-
 void ShardedEngine::post(std::size_t dst, Time when,
                          EventQueue::Callback cb) {
   const std::size_t src = tls_current_shard;

@@ -75,7 +75,6 @@ class ShardedEngine {
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  std::size_t shard_count() const { return queues_.size(); }
   EventQueue& queue(std::size_t shard) { return *queues_[shard]; }
 
   /// Engine clock, mirroring EventQueue::now() semantics across the whole
@@ -90,10 +89,8 @@ class ShardedEngine {
   /// making the injection order canonical and thread-count independent.
   void post(std::size_t dst_shard, Time when, EventQueue::Callback cb);
 
-  /// Shard whose slice the calling thread is currently executing
-  /// (kNoShard outside a slice).
+  /// The executing shard of a thread outside any slice.
   static constexpr std::size_t kNoShard = ~std::size_t{0};
-  static std::size_t current_shard();
 
   /// Called on the executing thread right before a shard's slice runs each
   /// round. The harness installs the shard's metrics registry here.

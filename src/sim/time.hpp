@@ -15,7 +15,6 @@ using Time = std::int64_t;
 /// A time value meaning "never" / "no deadline".
 inline constexpr Time kNever = INT64_MAX;
 
-constexpr Time nanoseconds(std::int64_t n) { return n; }
 constexpr Time microseconds(std::int64_t us) { return us * 1'000; }
 constexpr Time milliseconds(std::int64_t ms) { return ms * 1'000'000; }
 constexpr Time seconds(std::int64_t s) { return s * 1'000'000'000; }

@@ -36,25 +36,6 @@ bool parse_cc_kind(std::string_view name, CcKind* out) {
   return false;
 }
 
-std::string_view to_string(CaState s) {
-  switch (s) {
-    case CaState::kSlowStart: return "slow-start";
-    case CaState::kAvoidance: return "avoidance";
-    case CaState::kFastRecovery: return "fast-recovery";
-    case CaState::kLoss: return "loss";
-  }
-  return "?";
-}
-
-std::string_view to_string(LossReason r) {
-  switch (r) {
-    case LossReason::kNone: return "none";
-    case LossReason::kDupAck: return "dup-ack";
-    case LossReason::kTimeout: return "timeout";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // Base class: CA state machine + forensics; modules do window arithmetic.
 // ---------------------------------------------------------------------------

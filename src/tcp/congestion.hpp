@@ -64,16 +64,12 @@ enum class CaState : std::uint8_t {
   kLoss = 3,          // between an RTO and the ACK covering the loss point
 };
 
-std::string_view to_string(CaState s);
-
 /// What first put the connection into a loss episode.
 enum class LossReason : std::uint8_t {
   kNone = 0,
   kDupAck = 1,   // 3 duplicate ACKs (fast retransmit)
   kTimeout = 2,  // retransmission timer
 };
-
-std::string_view to_string(LossReason r);
 
 /// Per-connection loss forensics, modelled on the bpf-tcp-measurements
 /// collector structs: what started the first loss episode, how often each
@@ -198,9 +194,6 @@ class CongestionControl {
   /// Reno/NewReno/CUBIC-slow-start shared growth: slow start adds one MSS
   /// per full MSS acked; congestion avoidance adds mss^2/cwnd per ACK.
   void reno_growth(const CcContext& ctx, std::size_t acked_bytes);
-
-  bool in_recovery() const { return episode_ != Episode::kNone; }
-  bool in_loss() const { return episode_ == Episode::kLoss; }
 
   std::uint32_t cwnd_ = 0;
   std::uint32_t ssthresh_ = 0;

@@ -9,22 +9,16 @@
 
 namespace hsim::tcp {
 
-std::string_view to_string(State s) {
-  switch (s) {
-    case State::kClosed: return "CLOSED";
-    case State::kListen: return "LISTEN";
-    case State::kSynSent: return "SYN_SENT";
-    case State::kSynRcvd: return "SYN_RCVD";
-    case State::kEstablished: return "ESTABLISHED";
-    case State::kFinWait1: return "FIN_WAIT_1";
-    case State::kFinWait2: return "FIN_WAIT_2";
-    case State::kCloseWait: return "CLOSE_WAIT";
-    case State::kClosing: return "CLOSING";
-    case State::kLastAck: return "LAST_ACK";
-    case State::kTimeWait: return "TIME_WAIT";
-  }
-  return "?";
-}
+namespace {
+
+constexpr sim::Time kDelayedAckTimeout = sim::milliseconds(200);
+// Retransmission timer: 3 s before the first RTT sample, then the
+// Jacobson/Karn estimate clamped to [500 ms, 60 s].
+constexpr sim::Time kInitialRto = sim::seconds(3);
+constexpr sim::Time kMinRto = sim::milliseconds(500);
+constexpr sim::Time kMaxRto = sim::seconds(60);
+
+}  // namespace
 
 std::string_view to_string(ConnError e) {
   switch (e) {
@@ -74,7 +68,7 @@ Connection::Connection(Host& host, Key key, TcpOptions options)
       options_(options),
       metrics_(Metrics::bind()),
       cc_(CongestionControl::make(options.cc)),
-      rto_(options.initial_rto),
+      rto_(kInitialRto),
       rto_timer_(host.event_queue()),
       delack_timer_(host.event_queue()),
       time_wait_timer_(host.event_queue()) {
@@ -508,7 +502,7 @@ void Connection::arm_rto() {
 
 void Connection::on_rto_fire() {
   ++stats_.timeouts;
-  rto_ = std::min(rto_ * 2, options_.max_rto);
+  rto_ = std::min(rto_ * 2, kMaxRto);
   metrics_.rto_fires.inc();
   tl(obs::TlKind::kRtoFire, 0, static_cast<std::uint64_t>(rto_),
      consecutive_rtos_ + 1);
@@ -619,7 +613,7 @@ bool Connection::on_new_data_acked(Offset newly_acked_end,
       srtt_ += (sample - srtt_) / 8;
       rttvar_ += (err - rttvar_) / 4;
     }
-    rto_ = std::clamp(srtt_ + 4 * rttvar_, options_.min_rto, options_.max_rto);
+    rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
     if (min_rtt_ == 0 || sample < min_rtt_) min_rtt_ = sample;
     cc_->on_rtt_sample(cc_ctx(), sample);
     sync_cwnd(/*force=*/false);
@@ -691,10 +685,10 @@ void Connection::segment_arrived(const net::Packet& packet) {
       peer_window_ = packet.tcp.window;
       set_state(State::kEstablished);
       rto_timer_.cancel();
-      rto_ = options_.initial_rto;
+      rto_ = kInitialRto;
       if (srtt_ == 0) {
         // Use the handshake as the first RTT estimate.
-        srtt_ = options_.min_rto / 2;
+        srtt_ = kMinRto / 2;
       }
       send_pure_ack();
       if (on_connected_) on_connected_();
@@ -708,7 +702,7 @@ void Connection::segment_arrived(const net::Packet& packet) {
       peer_window_ = packet.tcp.window;
       set_state(State::kEstablished);
       rto_timer_.cancel();
-      rto_ = options_.initial_rto;
+      rto_ = kInitialRto;
       if (on_connected_) on_connected_();
       // Fall through: the handshake ACK may carry data (client pipelining
       // requests into the third handshake segment is legal).
@@ -931,7 +925,7 @@ void Connection::schedule_ack(bool force_now) {
     return;
   }
   if (!delack_timer_.armed()) {
-    delack_timer_.arm(options_.delayed_ack_timeout, [this] {
+    delack_timer_.arm(kDelayedAckTimeout, [this] {
       if (ack_pending_) {
         ++stats_.delayed_acks_fired;
         metrics_.delayed_acks.inc();
@@ -995,86 +989,6 @@ void Connection::become_closed(bool notify_reset) {
   Callback cb = notify_reset ? on_reset_ : on_closed_;
   ConnectionPtr self = host_.remove_connection(key_);
   if (cb) cb();
-}
-
-// ---------------------------------------------------------------------------
-// Timeline rendering
-// ---------------------------------------------------------------------------
-
-std::string format_timeline(const obs::ConnTimeline& timeline) {
-  std::string out = "=== timeline " + timeline.label() + " ===\n";
-  char line[192];
-  for (const obs::TlEvent& e : timeline.events()) {
-    const double t = sim::to_seconds(e.time);
-    switch (e.kind) {
-      case obs::TlKind::kStateChange:
-        std::snprintf(line, sizeof line, "%10.6f  STATE    %s -> %s\n", t,
-                      std::string(to_string(static_cast<State>(e.a))).c_str(),
-                      std::string(to_string(static_cast<State>(e.b))).c_str());
-        break;
-      case obs::TlKind::kSegSent:
-        std::snprintf(line, sizeof line,
-                      "%10.6f  SEND     %-4s seq=%llu len=%llu\n", t,
-                      net::flags_to_string(e.flags).c_str(),
-                      static_cast<unsigned long long>(e.a),
-                      static_cast<unsigned long long>(e.b));
-        break;
-      case obs::TlKind::kSegRecvd:
-        std::snprintf(line, sizeof line,
-                      "%10.6f  RECV     %-4s seq=%llu len=%llu\n", t,
-                      net::flags_to_string(e.flags).c_str(),
-                      static_cast<unsigned long long>(e.a),
-                      static_cast<unsigned long long>(e.b));
-        break;
-      case obs::TlKind::kCwndChange:
-        std::snprintf(line, sizeof line,
-                      "%10.6f  CWND     cwnd=%llu ssthresh=%llu state=%s\n", t,
-                      static_cast<unsigned long long>(e.a),
-                      static_cast<unsigned long long>(e.b),
-                      std::string(to_string(static_cast<CaState>(e.flags)))
-                          .c_str());
-        break;
-      case obs::TlKind::kRtoFire:
-        std::snprintf(line, sizeof line,
-                      "%10.6f  RTO-FIRE backed-off-to=%.3fs consecutive=%llu\n",
-                      t, sim::to_seconds(static_cast<sim::Time>(e.a)),
-                      static_cast<unsigned long long>(e.b));
-        break;
-      case obs::TlKind::kFastRetransmit:
-        std::snprintf(line, sizeof line, "%10.6f  FAST-RTX seq=%llu\n", t,
-                      static_cast<unsigned long long>(e.a));
-        break;
-      case obs::TlKind::kDelayedAck:
-        std::snprintf(line, sizeof line, "%10.6f  DELACK   timer fired\n", t);
-        break;
-      case obs::TlKind::kNagleHold:
-        std::snprintf(line, sizeof line, "%10.6f  NAGLE    held len=%llu\n", t,
-                      static_cast<unsigned long long>(e.a));
-        break;
-      case obs::TlKind::kRstSent:
-        std::snprintf(line, sizeof line, "%10.6f  RST-SENT seq=%llu%s\n", t,
-                      static_cast<unsigned long long>(e.a),
-                      e.flags != 0 ? " (failure give-up)" : "");
-        break;
-      case obs::TlKind::kRstRecvd:
-        std::snprintf(line, sizeof line,
-                      "%10.6f  RST-RECV seq=%llu (peer reset)\n", t,
-                      static_cast<unsigned long long>(e.a));
-        break;
-      case obs::TlKind::kNote:
-        std::snprintf(line, sizeof line, "%10.6f  NOTE     a=%llu b=%llu\n", t,
-                      static_cast<unsigned long long>(e.a),
-                      static_cast<unsigned long long>(e.b));
-        break;
-    }
-    out += line;
-  }
-  if (timeline.dropped() > 0) {
-    std::snprintf(line, sizeof line, "(%llu earlier events dropped)\n",
-                  static_cast<unsigned long long>(timeline.dropped()));
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace hsim::tcp

@@ -28,11 +28,12 @@
 #include "sim/event_queue.hpp"
 #include "tcp/congestion.hpp"
 #include "tcp/options.hpp"
-#include "tcp/seq.hpp"
 
 namespace hsim::tcp {
 
 class Host;
+
+using Seq = std::uint32_t;  // 32-bit wire sequence number
 
 enum class State {
   kClosed,
@@ -48,8 +49,6 @@ enum class State {
   kLastAck,
   kTimeWait,
 };
-
-std::string_view to_string(State s);
 
 /// Terminal failure cause reported through on_failed.
 enum class ConnError {
@@ -124,11 +123,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Aborts with RST immediately.
   void abort();
 
-  void set_nodelay(bool nodelay) { options_.nodelay = nodelay; }
-
   State state() const { return state_; }
   const Key& key() const { return key_; }
-  const TcpOptions& options() const { return options_; }
   const ConnectionStats& stats() const { return stats_; }
   std::uint32_t cwnd() const { return cwnd_; }
   std::uint32_t ssthresh() const { return ssthresh_; }
@@ -137,10 +133,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   const CongestionControl& congestion() const { return *cc_; }
   CaState ca_state() const { return cc_->ca_state(); }
   const LossForensics& loss_forensics() const { return cc_->forensics(); }
-
-  /// This connection's event timeline, or nullptr unless a registry with
-  /// enable_timelines() was installed when the connection was constructed.
-  const obs::ConnTimeline* timeline() const { return timeline_; }
 
   /// True once the peer's FIN has been received and delivered in order.
   bool peer_closed() const { return peer_fin_delivered_; }
@@ -250,7 +242,9 @@ class Connection : public std::enable_shared_from_this<Connection> {
     static Metrics bind();
   };
   Metrics metrics_;
-  obs::ConnTimeline* timeline_ = nullptr;  // owned by the registry
+  // Null unless a registry with enable_timelines() was installed when the
+  // connection was constructed; owned by the registry.
+  obs::ConnTimeline* timeline_ = nullptr;
 
   // ---- Send side ----
   Seq iss_ = 0;                 // initial send sequence number
@@ -322,10 +316,5 @@ class Connection : public std::enable_shared_from_this<Connection> {
 };
 
 using ConnectionPtr = std::shared_ptr<Connection>;
-
-/// Renders a connection timeline as a human-readable annotated trace:
-/// timestamps in seconds, TCP state names, flag strings, cwnd/ssthresh in
-/// bytes. This is the TCP-aware companion to obs::ConnTimeline::dump().
-std::string format_timeline(const obs::ConnTimeline& timeline);
 
 }  // namespace hsim::tcp

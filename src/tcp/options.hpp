@@ -24,10 +24,9 @@ struct TcpOptions {
   /// implementations that buffer output set this.
   bool nodelay = false;
 
-  /// Delayed-ACK: hold a pure ACK hoping to piggyback it, up to
-  /// `delayed_ack_timeout`, but always ACK every second full segment.
+  /// Delayed-ACK: hold a pure ACK hoping to piggyback it, up to 200 ms, but
+  /// always ACK every second full segment.
   bool delayed_ack = true;
-  sim::Time delayed_ack_timeout = sim::milliseconds(200);
 
   /// Initial congestion window in segments. The paper notes "some TCP stacks
   /// implement slow start using one TCP segment whereas others use two".
@@ -40,11 +39,6 @@ struct TcpOptions {
 
   /// Cap on unsent+unacked application data buffered in the sender.
   std::uint32_t send_buffer = 128 * 1024;
-
-  /// Retransmission timer bounds (Jacobson/Karn estimator in between).
-  sim::Time min_rto = sim::milliseconds(500);
-  sim::Time max_rto = sim::seconds(60);
-  sim::Time initial_rto = sim::seconds(3);
 
   /// Handshake give-up: abandon the connection attempt after the initial
   /// SYN (or SYN-ACK) plus this many retransmissions go unanswered; the

@@ -97,7 +97,7 @@ DropReason DropTail::admit(std::size_t wire_bytes) {
 Red::Red(std::string label, RedConfig config, sim::Rng rng)
     : QueueDisc(std::move(label)), config_(config), rng_(rng) {}
 
-DropReason Red::admit(std::size_t wire_bytes) {
+DropReason Red::admit(std::size_t /*wire_bytes*/) {
   // Sample the EWMA on every arrival (the classic per-arrival update; no
   // idle-time correction, which keeps the chain a pure function of the
   // arrival sequence and the seed).
@@ -106,10 +106,6 @@ DropReason Red::admit(std::size_t wire_bytes) {
 
   // Physical budget is always enforced, whatever the average says.
   if (config_.limit_packets != 0 && depth_packets() >= config_.limit_packets) {
-    return DropReason::kOverflow;
-  }
-  if (config_.limit_bytes != 0 &&
-      depth_bytes() + wire_bytes > config_.limit_bytes) {
     return DropReason::kOverflow;
   }
 

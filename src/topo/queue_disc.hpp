@@ -132,7 +132,6 @@ class DropTail : public QueueDisc {
   DropTail(std::string label, DropTailConfig config);
 
   std::string_view kind() const override { return "droptail"; }
-  const DropTailConfig& config() const { return config_; }
 
  protected:
   DropReason admit(std::size_t wire_bytes) override;
@@ -149,9 +148,8 @@ struct RedConfig {
   double max_drop_probability = 0.10;
   /// EWMA weight w_q: avg = (1-w)·avg + w·depth, sampled per arrival.
   double weight = 0.002;
-  /// Hard physical budgets (tail drop beyond), as in DropTailConfig.
+  /// Hard physical packet budget (tail drop beyond), as in DropTailConfig.
   std::size_t limit_packets = 128;
-  std::size_t limit_bytes = 0;
 };
 
 class Red : public QueueDisc {
@@ -159,9 +157,6 @@ class Red : public QueueDisc {
   Red(std::string label, RedConfig config, sim::Rng rng);
 
   std::string_view kind() const override { return "red"; }
-  const RedConfig& config() const { return config_; }
-  /// Current EWMA of the queue depth, in packets.
-  double average_depth() const { return avg_; }
 
  protected:
   DropReason admit(std::size_t wire_bytes) override;

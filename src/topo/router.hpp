@@ -96,7 +96,6 @@ class Router : public net::PacketSink {
   // PacketSink: a packet arrived from one of the ingress links.
   void deliver(net::Packet packet) override;
 
-  std::int32_t id() const { return id_; }
   const std::string& name() const { return name_; }
   std::size_t egress_count() const { return egresses_.size(); }
   const QueueDisc& egress_queue(std::size_t i) const { return *egresses_[i].disc; }

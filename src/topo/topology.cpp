@@ -6,6 +6,10 @@ namespace hsim::topo {
 
 namespace {
 
+/// How long a router must observe the primary bottleneck down (or healthy
+/// again) before failing over (or back) in dumbbell_redundant.
+constexpr sim::Time kFailoverDetectionDelay = sim::milliseconds(50);
+
 net::LinkConfig attach_link_config() {
   // Host-attachment leg: infinite bandwidth, zero delay — purely a wiring
   // element so the router-side egress still has a Link to clock against.
@@ -166,8 +170,7 @@ Topology TopologyBuilder::dumbbell(const std::vector<tcp::Host*>& clients,
 
 Topology TopologyBuilder::dumbbell_redundant(
     const std::vector<tcp::Host*>& clients, tcp::Host* server,
-    const net::ChannelConfig& access, const BottleneckSpec& bottleneck,
-    const FailoverSpec& failover) {
+    const net::ChannelConfig& access, const BottleneckSpec& bottleneck) {
   Topology topo;
   Router* gate = topo.add_router("gate", queue_);
   Router* core = topo.add_router("core", queue_);
@@ -194,14 +197,14 @@ Topology TopologyBuilder::dumbbell_redundant(
   const std::size_t gate_backup = gate->add_egress(
       bnb_up, make_queue_disc(bottleneck.queue, "bnB.up", rng_.fork()));
   gate->add_route(server->addr(), gate_primary);
-  gate->set_failover(gate_primary, gate_backup, failover.detection_delay);
+  gate->set_failover(gate_primary, gate_backup, kFailoverDetectionDelay);
 
   const std::size_t core_primary = core->add_egress(
       bna_down, make_queue_disc(bottleneck.queue, "bnA.down", rng_.fork()));
   const std::size_t core_backup = core->add_egress(
       bnb_down, make_queue_disc(bottleneck.queue, "bnB.down", rng_.fork()));
   core->set_default_route(core_primary);
-  core->set_failover(core_primary, core_backup, failover.detection_delay);
+  core->set_failover(core_primary, core_backup, kFailoverDetectionDelay);
 
   net::Link* server_up =
       topo.add_link("server.up", queue_, attach_link_config(), rng_.fork());

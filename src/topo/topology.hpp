@@ -50,14 +50,6 @@ struct BottleneckSpec {
   std::function<void(net::LinkConfig&)> mutate_link;
 };
 
-/// Redundant-bottleneck failover parameters (see dumbbell_redundant).
-struct FailoverSpec {
-  /// How long a router must observe the primary bottleneck link down before
-  /// rerouting onto the backup, and healthy again before failing back.
-  /// Detection is traffic-clocked (see Router::set_failover).
-  sim::Time detection_delay = sim::milliseconds(50);
-};
-
 /// Owns the routers, links and queue disciplines a builder wired up; hosts
 /// stay caller-owned. Links and routers are reachable by name:
 ///   links:   "client<i>.up" / "client<i>.down", "bn.up" / "bn.down",
@@ -70,12 +62,6 @@ class Topology {
 
   const std::vector<std::unique_ptr<Router>>& routers() const {
     return routers_;
-  }
-
-  /// Every link with its name, for conservation oracles that must account
-  /// for packets at each layer of each hop.
-  const std::map<std::string, net::Link*, std::less<>>& links_by_name() const {
-    return links_by_name_;
   }
 
   /// Every queue discipline in the topology (router egress order), for
@@ -135,16 +121,16 @@ class TopologyBuilder {
   /// Dumbbell with a redundant bottleneck: the shape of dumbbell(), plus a
   /// second (backup) bottleneck pair between gate and core. Both directions
   /// route over the primary pair ("bnA.up"/"bnA.down") until the owning
-  /// router observes it down for failover.detection_delay, then fail over to
-  /// the backup pair ("bnB.up"/"bnB.down"), failing back symmetrically once
-  /// the primary is healthy again. bottleneck.mutate_link applies to the
+  /// router observes it down for 50 ms, then fail over to the backup pair
+  /// ("bnB.up"/"bnB.down"), failing back symmetrically once the primary has
+  /// been healthy for 50 ms. Detection is traffic-clocked (see
+  /// Router::set_failover). bottleneck.mutate_link applies to the
   /// primary pair only, so injected outages exercise the failover path while
   /// the backup stays clean.
   Topology dumbbell_redundant(const std::vector<tcp::Host*>& clients,
                               tcp::Host* server,
                               const net::ChannelConfig& access,
-                              const BottleneckSpec& bottleneck,
-                              const FailoverSpec& failover);
+                              const BottleneckSpec& bottleneck);
 
  private:
   /// Wires client i's duplex access legs: uplink into `gate`, downlink out

@@ -2,8 +2,11 @@
 // cache behaviour, flush accounting, and browser emulation details.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "client/cache.hpp"
 #include "client/profile.hpp"
+#include "h2/frame.hpp"
 #include "harness/experiment.hpp"
 #include "http/parser.hpp"
 #include "server/static_site.hpp"
@@ -85,6 +88,10 @@ struct WireRig {
       request_bytes.insert(request_bytes.end(), p.payload.begin(),
                            p.payload.end());
     });
+    channel.uplink_from_b().set_tap([this](const net::Packet& p) {
+      response_bytes.insert(response_bytes.end(), p.payload.begin(),
+                            p.payload.end());
+    });
     server.start(80);
   }
 
@@ -104,6 +111,7 @@ struct WireRig {
   server::HttpServer server;
   client::Robot robot;
   std::vector<std::uint8_t> request_bytes;
+  std::vector<std::uint8_t> response_bytes;
 };
 
 TEST(RobotWireTest, FirstVisitSends43GetsInDocumentOrder) {
@@ -211,6 +219,51 @@ TEST(RobotWireTest, FlushAccountingMatchesMechanisms) {
   const client::RobotStats& s = rig.robot.stats();
   EXPECT_GE(s.explicit_flushes, 1u);  // after the HTML request + tail
   EXPECT_GE(s.size_flushes, 3u);      // 42 requests / ~5 per 1024 B buffer
+}
+
+// The SETTINGS each side of an h2 connection opens with, as the peer decodes
+// them off the wire. The golden h2 traces record only frame lengths, so this
+// is what pins the advertised values.
+std::map<std::uint16_t, std::uint32_t> first_settings(
+    const std::vector<std::uint8_t>& wire, std::size_t skip) {
+  buf::Chain bytes;
+  bytes.append_copy(std::span(wire).subspan(skip));
+  h2::FrameDecoder decoder;
+  decoder.feed(std::move(bytes));
+  const std::optional<h2::Frame> frame = decoder.next();
+  EXPECT_TRUE(frame.has_value());
+  if (!frame) return {};
+  EXPECT_EQ(frame->type, h2::FrameType::kSettings);
+  EXPECT_FALSE(frame->has_flag(h2::kFlagAck));
+  const auto settings = h2::parse_settings_payload(frame->payload);
+  EXPECT_TRUE(settings.has_value());
+  if (!settings) return {};
+  std::map<std::uint16_t, std::uint32_t> out;
+  for (const h2::Setting& s : *settings) out[s.id] = s.value;
+  return out;
+}
+
+TEST(RobotWireTest, H2SessionsAdvertiseTheSettingsConstants) {
+  WireRig rig(harness::robot_config(client::ProtocolMode::kH2));
+  bool done = false;
+  rig.robot.start_first_visit("/index.html", [&] { done = true; });
+  rig.queue.run_until(sim::seconds(120));
+  ASSERT_TRUE(done);
+
+  const std::string_view preface = h2::kClientPreface;
+  ASSERT_GE(rig.request_bytes.size(), preface.size());
+  EXPECT_EQ(std::string(rig.request_bytes.begin(),
+                        rig.request_bytes.begin() +
+                            static_cast<std::ptrdiff_t>(preface.size())),
+            preface);
+  const std::map<std::uint16_t, std::uint32_t> expected = {
+      {h2::kSettingsEnablePush, 1},
+      {h2::kSettingsMaxConcurrentStreams, 100},
+      {h2::kSettingsInitialWindowSize, 65535},
+      {h2::kSettingsMaxFrameSize, 16384},
+  };
+  EXPECT_EQ(first_settings(rig.request_bytes, preface.size()), expected);
+  EXPECT_EQ(first_settings(rig.response_bytes, 0), expected);
 }
 
 }  // namespace

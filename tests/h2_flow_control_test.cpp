@@ -139,7 +139,7 @@ TEST(H2FlowControl, StreamWindowsGateDataAndResumeRoundRobin) {
   cfg.is_server = true;
   GrantMonitor monitor;
   const std::vector<std::uint32_t> ids = {1, 3, 5};
-  Session server(queue, cfg, [&](buf::Chain&& bytes) {
+  Session server(cfg, [&](buf::Chain&& bytes) {
     monitor.feed(bytes);
     expect_windows_nonnegative(server, ids);
   });
@@ -223,7 +223,7 @@ TEST(H2FlowControl, ConnectionWindowGatesAggregateAndWeightsOrderResume) {
   cfg.is_server = true;
   GrantMonitor monitor;
   const std::vector<std::uint32_t> ids = {1, 2, 4};
-  Session server(queue, cfg, [&](buf::Chain&& bytes) {
+  Session server(cfg, [&](buf::Chain&& bytes) {
     monitor.feed(bytes);
     expect_windows_nonnegative(server, ids);
   });
@@ -386,11 +386,11 @@ TEST(H2FlowControl, DuplexPushAcceptRejectConservesBytes) {
   client_cfg.is_server = false;
   SessionConfig server_cfg;
   server_cfg.is_server = true;
-  Session client(queue, client_cfg, [&](buf::Chain&& bytes) {
+  Session client(client_cfg, [&](buf::Chain&& bytes) {
     relay.to_server.append(std::move(bytes));
     relay.drain();
   });
-  Session server(queue, server_cfg, [&](buf::Chain&& bytes) {
+  Session server(server_cfg, [&](buf::Chain&& bytes) {
     relay.to_client.append(std::move(bytes));
     relay.drain();
   });
@@ -485,11 +485,11 @@ TEST(H2FlowControl, RevalidationRoundTripNoBodies) {
   SessionConfig client_cfg;
   SessionConfig server_cfg;
   server_cfg.is_server = true;
-  Session client(queue, client_cfg, [&](buf::Chain&& bytes) {
+  Session client(client_cfg, [&](buf::Chain&& bytes) {
     relay.to_server.append(std::move(bytes));
     relay.drain();
   });
-  Session server(queue, server_cfg, [&](buf::Chain&& bytes) {
+  Session server(server_cfg, [&](buf::Chain&& bytes) {
     relay.to_client.append(std::move(bytes));
     relay.drain();
   });

@@ -335,7 +335,7 @@ TEST(H2FrameProperty, WindowOverflowIsConnectionError) {
   SessionConfig cfg;
   cfg.is_server = true;
   buf::Chain out;
-  Session session(queue, cfg, [&](buf::Chain&& bytes) {
+  Session session(cfg, [&](buf::Chain&& bytes) {
     out.append(std::move(bytes));
   });
   std::optional<DecodeError> seen;
@@ -371,7 +371,7 @@ TEST(H2FrameProperty, ZeroWindowIncrementIsProtocolError) {
   sim::EventQueue queue;
   SessionConfig cfg;
   cfg.is_server = true;
-  Session session(queue, cfg, [](buf::Chain&&) {});
+  Session session(cfg, [](buf::Chain&&) {});
   std::optional<DecodeError> seen;
   session.on_connection_error = [&](const DecodeError& e) { seen = e; };
 

@@ -49,8 +49,8 @@ SweepOutcome sweep_idle_timeout(server::CloseStyle style,
 
     bool byte_exact = false;
     spec.inspect_robot = [&byte_exact](client::Robot& robot) {
-      byte_exact = harness::cache_matches_site(
-          robot.cache(), harness::shared_site(), "/index.html");
+      byte_exact =
+          harness::cache_matches_site(robot.cache(), harness::shared_site());
     };
     const harness::RunResult res =
         harness::run_once(spec, harness::shared_site());

@@ -54,7 +54,6 @@ client::ClientConfig range_config() {
   client::ClientConfig c =
       harness::robot_config(client::ProtocolMode::kHttp11Pipelined);
   c.validate_with_ranges = true;
-  c.range_prefix_bytes = 1360;
   return c;
 }
 
