@@ -7,86 +7,96 @@ namespace hsim::sim {
 
 TimerId EventQueue::schedule_at(Time when, Callback cb) {
   if (when < now_) when = now_;
-  const std::uint64_t id = next_id_++;
-  heap_.push_back(Event{EventKey{when, now_, shard_, next_seq_++}, id,
-                        std::move(cb)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  maybe_compact();
-  return TimerId{id};
+  return push(EventKey{when, now_, shard_, next_seq_++}, std::move(cb));
 }
 
 TimerId EventQueue::schedule_cross(const EventKey& key, Callback cb) {
-  const std::uint64_t id = next_id_++;
-  heap_.push_back(Event{key, id, std::move(cb)});
+  return push(key, std::move(cb));
+}
+
+TimerId EventQueue::push(const EventKey& key, Callback cb) {
+  if (free_.empty()) {
+    free_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const std::uint32_t i = free_.back();
+  free_.pop_back();
+  Slot& slot = slots_[i];
+  slot.cb = std::move(cb);
+  slot.live = true;
+  heap_.push_back(Node{key.when, key.sched, key.src, i, key.seq});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   maybe_compact();
-  return TimerId{id};
+  return TimerId{(std::uint64_t{slot.gen} << 32) | (std::uint64_t{i} + 1)};
 }
 
 bool EventQueue::cancel(TimerId id) {
-  if (!id) return false;
-  // Lazy cancellation: the event stays in the heap but is skipped when popped.
-  // An id is only accepted if it is plausibly pending (ids are never reused).
-  if (id.value >= next_id_) return false;
-  return cancelled_.insert(id.value).second;
+  const std::uint64_t i = (id.value & 0xffffffffu) - 1;
+  if (!id || i >= slots_.size()) return false;
+  Slot& slot = slots_[i];
+  if (!slot.live || slot.gen != id.value >> 32) return false;
+  // The node stays in the heap until it surfaces or a compaction drops it;
+  // the callback (and whatever it captured) goes now, destroyed off the
+  // table in case a capture's destructor schedules.
+  const Callback doomed = std::move(slot.cb);
+  slot.live = false;
+  ++dead_;
+  return true;
 }
 
-std::size_t EventQueue::pending() const {
-  return static_cast<std::size_t>(
-      std::count_if(heap_.begin(), heap_.end(), [this](const Event& ev) {
-        return cancelled_.count(ev.id) == 0;
-      }));
-}
-
-EventQueue::Event EventQueue::pop_event() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  return ev;
+void EventQueue::release(std::uint32_t slot) {
+  ++slots_[slot].gen;
+  free_.push_back(slot);
 }
 
 void EventQueue::maybe_compact() {
   // Heavy timer churn (delayed-ACK and RTO re-arms across thousands of
-  // connections) can leave the heap mostly cancelled events, each keeping its
-  // callback captures alive. Rebuild once they outnumber the live ones.
-  if (cancelled_.size() < 1024 || cancelled_.size() * 2 < heap_.size()) return;
-  std::erase_if(heap_, [this](const Event& ev) {
-    return cancelled_.count(ev.id) != 0;
+  // connections) can leave the heap mostly cancelled nodes. Rebuild once
+  // they outnumber the live ones.
+  if (dead_ < 1024 || dead_ * 2 < heap_.size()) return;
+  std::erase_if(heap_, [this](const Node& n) {
+    if (slots_[n.slot].live) return false;
+    release(n.slot);
+    return true;
   });
   std::make_heap(heap_.begin(), heap_.end(), Later{});
-  // Ids cancelled after their event already ran would otherwise linger
-  // forever; everything surviving in the heap is live, so start clean.
-  cancelled_.clear();
+  dead_ = 0;
+}
+
+void EventQueue::purge_top() {
+  while (!heap_.empty() && !slots_[heap_.front().slot].live) {
+    release(heap_.front().slot);
+    --dead_;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  }
+}
+
+void EventQueue::run_top() {
+  const Node node = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  // Move the callback out before running it: it may schedule, which can
+  // recycle this slot or regrow the table.
+  Slot& slot = slots_[node.slot];
+  Callback cb = std::move(slot.cb);
+  slot.live = false;
+  release(node.slot);
+  now_ = node.when;
+  current_key_ = node.key();
+  cb();
 }
 
 Time EventQueue::next_event_time() {
-  while (!heap_.empty()) {
-    const Event& top = heap_.front();
-    if (cancelled_.count(top.id) != 0) {
-      cancelled_.erase(top.id);
-      pop_event();
-      continue;
-    }
-    return top.key.when;
-  }
-  return kNoEvent;
+  purge_top();
+  return heap_.empty() ? kNoEvent : heap_.front().when;
 }
 
 bool EventQueue::step() {
-  while (!heap_.empty()) {
-    Event ev = pop_event();
-    if (!cancelled_.empty()) {
-      if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-    }
-    now_ = ev.key.when;
-    current_key_ = ev.key;
-    ev.cb();
-    return true;
-  }
-  return false;
+  purge_top();
+  if (heap_.empty()) return false;
+  run_top();
+  return true;
 }
 
 std::size_t EventQueue::run() {
@@ -97,15 +107,10 @@ std::size_t EventQueue::run() {
 
 std::size_t EventQueue::run_until(Time deadline) {
   std::size_t n = 0;
-  while (!heap_.empty()) {
-    const Event& top = heap_.front();
-    if (cancelled_.count(top.id) != 0) {
-      cancelled_.erase(top.id);
-      pop_event();
-      continue;
-    }
-    if (top.key.when > deadline) break;
-    step();
+  while (true) {
+    purge_top();
+    if (heap_.empty() || heap_.front().when > deadline) break;
+    run_top();
     ++n;
   }
   if (now_ < deadline && !heap_.empty()) now_ = deadline;

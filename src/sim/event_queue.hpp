@@ -19,14 +19,15 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace hsim::sim {
 
-/// Identifies a scheduled event so it can be cancelled.
+/// Identifies a scheduled event so it can be cancelled: the event's slot
+/// generation in the high 32 bits, its slot index + 1 in the low 32 (0 is
+/// the null id).
 struct TimerId {
   std::uint64_t value = 0;
 
@@ -52,7 +53,9 @@ struct EventKey {
   }
 };
 
-class EventQueue {
+// Cache-line aligned: the sharded engine's workers each write their own
+// shard's queue, and no two queues may share a line.
+class alignas(64) EventQueue {
  public:
   using Callback = std::function<void()>;
 
@@ -69,11 +72,11 @@ class EventQueue {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Cancels a pending event. Returns false for a null or never-issued id
-  /// and for an id already cancelled. Cancellation is lazy, so an issued id
-  /// whose event already ran also returns true (the first time): nothing
-  /// runs, and the stale id only holds a set entry until the next
-  /// compaction.
+  /// Cancels a pending event and releases its callback's captures at once.
+  /// Returns false for a null or never-issued id, for an id already
+  /// cancelled and for an id whose event already ran: each id names one
+  /// generation of a slot, so a stale id never touches the slot's next
+  /// event. O(1).
   bool cancel(TimerId id);
 
   /// Runs the single next event. Returns false if the queue is empty.
@@ -89,16 +92,19 @@ class EventQueue {
   /// Runs events for `duration` from the current time.
   std::size_t run_for(Time duration) { return run_until(now_ + duration); }
 
-  /// Number of pending (non-cancelled) events: the heap's live entries.
-  /// O(heap); `cancelled_` may also hold ids whose events already ran, so
-  /// its size is no count of the dead heap entries.
-  std::size_t pending() const;
+  /// Number of pending (non-cancelled) events. O(1): heap nodes minus the
+  /// cancelled ones not yet popped.
+  std::size_t pending() const { return heap_.size() - dead_; }
 
   bool empty() const { return pending() == 0; }
 
-  /// Pre-sizes the heap (a 1000-client workload holds tens of thousands of
-  /// timers at once; avoiding regrowth copies of std::function is measurable).
-  void reserve(std::size_t n) { heap_.reserve(n); }
+  /// Pre-sizes the heap and the slot table (a 1000-client workload holds
+  /// tens of thousands of timers at once; regrowing the slot table moves
+  /// every pending std::function).
+  void reserve(std::size_t n) {
+    heap_.reserve(n);
+    slots_.reserve(n);
+  }
 
   // ---- Sharded-engine surface (sim/shard.hpp) -----------------------------
   // A standalone queue never needs any of this; the defaults leave behaviour
@@ -115,7 +121,7 @@ class EventQueue {
   TimerId schedule_cross(const EventKey& key, Callback cb);
 
   /// Fire time of the earliest pending event, or `kNoEvent` when empty.
-  /// Purges lazily-cancelled events from the top as a side effect.
+  /// Pops cancelled nodes off the top as a side effect.
   static constexpr Time kNoEvent = std::numeric_limits<Time>::max();
   Time next_event_time();
 
@@ -130,34 +136,52 @@ class EventQueue {
   }
 
  private:
-  struct Event {
-    EventKey key;
-    std::uint64_t id;
+  /// Holds one scheduled callback at a time. `gen` counts the callbacks
+  /// the slot has retired; a TimerId names (gen, slot), so an id outliving
+  /// its event never matches the slot's next callback.
+  struct Slot {
     Callback cb;
+    std::uint32_t gen = 0;
+    bool live = false;  // scheduled, neither run nor cancelled
+  };
+  /// A heap entry: the EventKey's fields with the slot index packed into
+  /// the padding after `src`, so a node is 32 trivially-copyable bytes.
+  struct Node {
+    Time when;
+    Time sched;
+    std::uint32_t src;
+    std::uint32_t slot;
+    std::uint64_t seq;
+
+    EventKey key() const { return EventKey{when, sched, src, seq}; }
   };
   // Comparator for a std::*_heap max-heap whose "largest" element is the
   // earliest event: a orders after b when a fires later.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      return b.key < a.key;
+    bool operator()(const Node& a, const Node& b) const {
+      return b.key() < a.key();
     }
   };
 
-  /// Pops the earliest event out of the heap by move (std::priority_queue's
-  /// const top() would copy the std::function and its captures every pop —
-  /// the hottest allocation site in large simulations).
-  Event pop_event();
-  /// Physically removes lazily-cancelled events once they dominate the heap,
-  /// bounding memory held alive by cancelled timers' captures.
+  TimerId push(const EventKey& key, Callback cb);
+  /// Pops cancelled nodes off the top of the heap, recycling their slots.
+  void purge_top();
+  /// Pops the (live) top node and runs its callback.
+  void run_top();
+  /// Returns a slot whose node has left the heap to the free list, bumping
+  /// its generation so every id issued for it goes stale.
+  void release(std::uint32_t slot);
+  /// Physically removes cancelled nodes once they dominate the heap.
   void maybe_compact();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_id_ = 1;
   std::uint32_t shard_ = 0;
   EventKey current_key_{};
-  std::vector<Event> heap_;  // binary heap maintained via std::push/pop_heap
-  std::unordered_set<std::uint64_t> cancelled_;
+  std::vector<Node> heap_;  // binary heap maintained via std::push/pop_heap
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  // slots with no node in the heap
+  std::size_t dead_ = 0;             // cancelled nodes still in the heap
 };
 
 /// RAII helper owning a single restartable timer on an EventQueue.
@@ -174,12 +198,11 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
 
   /// (Re)arms the timer to fire `delay` from now, replacing any pending fire.
+  /// The timer keeps `cb`; the queue holds only a pointer-sized closure.
   void arm(Time delay, EventQueue::Callback cb) {
     cancel();
-    id_ = queue_->schedule_in(delay, [this, cb = std::move(cb)] {
-      id_ = TimerId{};
-      cb();
-    });
+    cb_ = std::move(cb);
+    id_ = queue_->schedule_in(delay, [this] { fire(); });
   }
 
   /// True if the timer is armed and has not fired.
@@ -189,12 +212,22 @@ class Timer {
     if (id_) {
       queue_->cancel(id_);
       id_ = TimerId{};
+      cb_ = nullptr;
     }
   }
 
  private:
+  // The callback moves out before it runs: it may re-arm this timer (which
+  // replaces cb_) or destroy it.
+  void fire() {
+    id_ = TimerId{};
+    EventQueue::Callback cb = std::move(cb_);
+    cb();
+  }
+
   EventQueue* queue_;
   TimerId id_;
+  EventQueue::Callback cb_;
 };
 
 }  // namespace hsim::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace hsim::sim {
@@ -117,15 +118,74 @@ TEST(EventQueueTest, CancelAfterRunLeavesQueueEmpty) {
   EventQueue q;
   const TimerId ran = q.schedule_at(milliseconds(1), [] {});
   q.run();
-  // Lazy cancellation accepts an id whose event already ran; the stale id
-  // must not leak into pending() or empty().
-  EXPECT_TRUE(q.cancel(ran));
+  // The id went stale when its event ran: cancel refuses it, and nothing
+  // leaks into pending() or empty().
+  EXPECT_FALSE(q.cancel(ran));
   EXPECT_EQ(q.pending(), 0u);
   EXPECT_TRUE(q.empty());
   q.schedule_at(milliseconds(2), [] {});
   EXPECT_EQ(q.pending(), 1u);
   EXPECT_FALSE(q.empty());
   EXPECT_EQ(q.run(), 1u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, StaleIdNeverCancelsTheSlotsNextEvent) {
+  EventQueue q;
+  const TimerId ran = q.schedule_at(milliseconds(1), [] {});
+  q.run();
+  // The only free slot is the one `ran` named, so this event reuses it.
+  const TimerId cancelled = q.schedule_at(milliseconds(2), [] {});
+  EXPECT_NE(ran, cancelled);
+  EXPECT_TRUE(q.cancel(cancelled));
+  q.run();  // pops the cancelled node, freeing the slot again
+  int runs = 0;
+  q.schedule_at(milliseconds(3), [&] { ++runs; });
+  EXPECT_FALSE(q.cancel(ran));
+  EXPECT_FALSE(q.cancel(cancelled));
+  EXPECT_EQ(q.pending(), 1u);
+  q.run();
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(EventQueueTest, CancelReleasesCapturesAtOnce) {
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  const TimerId id = q.schedule_at(milliseconds(1), [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_EQ(token.use_count(), 1);  // not at pop: nothing has run yet
+  EXPECT_EQ(q.run(), 0u);
+}
+
+TEST(EventQueueTest, PendingStaysExactAcrossCancelsAndCompaction) {
+  EventQueue q;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 4000; ++i) {
+    ids.push_back(q.schedule_at(milliseconds(1 + i), [] {}));
+  }
+  // Cancel three in four, interleaved with fresh schedules; the dead count
+  // passes 1024 and half the heap, so a compaction runs along the way.
+  std::size_t live = ids.size();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i % 4 == 0) continue;
+    EXPECT_TRUE(q.cancel(ids[i]));
+    --live;
+    if (i % 16 == 1) {
+      q.schedule_at(milliseconds(10'000), [] {});
+      ++live;
+    }
+    ASSERT_EQ(q.pending(), live);
+  }
+  EXPECT_FALSE(q.empty());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i % 4 != 0) {
+      EXPECT_FALSE(q.cancel(ids[i]));
+    }
+  }
+  EXPECT_EQ(q.pending(), live);
+  EXPECT_EQ(q.run(), live);
+  EXPECT_EQ(q.pending(), 0u);
   EXPECT_TRUE(q.empty());
 }
 
@@ -149,6 +209,19 @@ TEST(TimerTest, RearmReplacesPrevious) {
   q.run();
   EXPECT_EQ(which, 2);
   EXPECT_EQ(q.now(), milliseconds(20));
+}
+
+TEST(TimerTest, RearmFromOwnCallbackFiresOnceAtNewTime) {
+  EventQueue q;
+  Timer t(q);
+  std::vector<Time> fired;
+  t.arm(milliseconds(10), [&] {
+    fired.push_back(q.now());
+    t.arm(milliseconds(5), [&] { fired.push_back(q.now()); });
+  });
+  q.run();
+  EXPECT_EQ(fired, (std::vector<Time>{milliseconds(10), milliseconds(15)}));
+  EXPECT_FALSE(t.armed());
 }
 
 TEST(TimerTest, CancelStopsFire) {
