@@ -657,16 +657,8 @@ void Robot::handle_response(const LanePtr& lane, const PendingRequest& pending,
     }
     if (pending.is_root) {
       // Finish ingesting the document (bytes past the last partial scan).
-      const bool deflated =
-          response.headers.has_token("Content-Encoding", "deflate");
-      if (response.body.size() > html_raw_consumed_) {
-        response.body.slice(html_raw_consumed_)
-            .for_each([&](std::span<const std::uint8_t> run) {
-              ingest_html_bytes(run, deflated);
-            });
-      }
+      scan_partial_body(response);
       stats_.html_complete_at = host_.event_queue().now();
-      discover_references();
       // The whole document is parsed: the application *knows* no further
       // requests will be generated from it, so flush the tail batch rather
       // than waiting for the 50 ms timer (the paper's explicit-flush

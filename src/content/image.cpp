@@ -232,23 +232,20 @@ std::vector<std::uint8_t> modern_container_bytes(ModernCodec codec,
                                                  std::size_t size,
                                                  std::uint64_t seed) {
   std::vector<std::uint8_t> out;
-  out.reserve(size);
   if (codec == ModernCodec::kWebP) {
     // RIFF <size> WEBP VP8L — enough structure to look like a real file.
-    const char riff[] = {'R', 'I', 'F', 'F'};
-    out.insert(out.end(), riff, riff + 4);
     const std::uint32_t riff_size =
         size >= 8 ? static_cast<std::uint32_t>(size - 8) : 0;
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<std::uint8_t>(riff_size >> (8 * i)));
-    }
-    const char fourccs[] = {'W', 'E', 'B', 'P', 'V', 'P', '8', 'L'};
-    out.insert(out.end(), fourccs, fourccs + 8);
+    out = {'R', 'I', 'F', 'F',
+           static_cast<std::uint8_t>(riff_size),
+           static_cast<std::uint8_t>(riff_size >> 8),
+           static_cast<std::uint8_t>(riff_size >> 16),
+           static_cast<std::uint8_t>(riff_size >> 24),
+           'W', 'E', 'B', 'P', 'V', 'P', '8', 'L'};
   } else {
-    const char ftyp[] = {0, 0, 0, 0x1c, 'f', 't', 'y', 'p',
-                         'a', 'v', 'i', 'f'};
-    out.insert(out.end(), ftyp, ftyp + 12);
+    out = {0, 0, 0, 0x1c, 'f', 't', 'y', 'p', 'a', 'v', 'i', 'f'};
   }
+  out.reserve(size);
   // Seeded incompressible payload: arithmetic-coded codec output has no
   // byte-level redundancy left, so the deflate transfer-coding experiments
   // must see noise here, not structure.

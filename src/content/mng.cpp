@@ -1,6 +1,7 @@
 #include "content/mng.hpp"
 
 #include <cstring>
+#include <iterator>
 
 #include "content/png.hpp"
 #include "deflate/checksum.hpp"
@@ -40,9 +41,9 @@ void append_chunk(std::vector<std::uint8_t>& out, const char type[4],
 }  // namespace
 
 std::vector<std::uint8_t> encode_mng(const Animation& animation) {
-  std::vector<std::uint8_t> out;
-  if (animation.frames.empty()) return out;
-  out.insert(out.end(), kMngSignature, kMngSignature + 8);
+  if (animation.frames.empty()) return {};
+  std::vector<std::uint8_t> out(std::begin(kMngSignature),
+                                std::end(kMngSignature));
 
   const IndexedImage& first = animation.frames.front();
   std::vector<std::uint8_t> mhdr;

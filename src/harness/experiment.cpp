@@ -1,9 +1,8 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <iterator>
 
-#include "harness/parallel.hpp"
+#include "net/channel.hpp"
 #include "server/static_site.hpp"
 
 namespace hsim::harness {
@@ -65,129 +64,68 @@ client::ClientConfig msie_client_config(bool broken_revalidation) {
 
 RunResult run_once(const ExperimentSpec& spec,
                    const content::MicroscapeSite& site) {
-  // Shard 0 = client side, shard S-1 = server side: two shards when threads
-  // are asked for and the channel has a nanosecond of lookahead, else one.
-  const sim::Time lookahead =
-      spec.threads != 0 ? run_once_lookahead(spec) : 0;
-  const std::size_t S = lookahead < 1 ? 1 : 2;
-  const std::size_t client_shard = 0;
-  const std::size_t server_shard = S - 1;
-
-  // One registry per shard, installed before any instrumented component is
-  // built so every Metrics::bind() resolves against it. The registries die
-  // with this frame; RunResult carries a Snapshot of their merge instead.
-  ShardedRun run(S, spec.threads, lookahead);
-  sim::ShardedEngine& engine = run.engine;
-  sim::EventQueue& client_queue = engine.queue(client_shard);
-  sim::EventQueue& server_queue = engine.queue(server_shard);
+  // One registry, installed before any instrumented component is built so
+  // every Metrics::bind() resolves against it. It dies with this frame;
+  // RunResult carries a Snapshot of it instead.
+  obs::Registry registry;
+  obs::ScopedRegistry scoped(&registry);
+  sim::EventQueue queue;
   sim::Rng rng(spec.seed);
 
   net::ChannelConfig channel_config = spec.network.channel_config();
   if (spec.mutate_channel) spec.mutate_channel(channel_config);
   apply_profile_overlay(spec.profile, channel_config, "access");
-  // The links fork the channel rng in net::Channel's order (a_to_b, then
-  // b_to_a), each on the shard of its transmitter.
-  sim::Rng channel_rng = rng.fork();
-  run.use(client_shard);
-  net::Link a_to_b(client_queue, channel_config.a_to_b, channel_rng.fork());
-  run.use(server_shard);
-  net::Link b_to_a(server_queue, channel_config.b_to_a, channel_rng.fork());
+  // Declared before the channel, whose taps feed it once set_trace arms it.
+  net::PacketTrace trace(kClientAddr);
+  net::Channel channel(queue, channel_config, rng.fork());
 
-  run.use(client_shard);
-  tcp::Host client_host(client_queue, kClientAddr, "client", rng.fork());
-  run.use(server_shard);
-  tcp::Host server_host(server_queue, kServerAddr, "server", rng.fork());
-
-  a_to_b.set_sink(&server_host);
-  b_to_a.set_sink(&client_host);
-  if (S > 1) {
-    cross_deliver(engine, server_shard, a_to_b);
-    cross_deliver(engine, client_shard, b_to_a);
-  }
-  client_host.attach_uplink(&a_to_b);
-  server_host.attach_uplink(&b_to_a);
+  tcp::Host client_host(queue, kClientAddr, "client", rng.fork());
+  tcp::Host server_host(queue, kServerAddr, "server", rng.fork());
+  channel.attach_a(&client_host);
+  channel.attach_b(&server_host);
+  client_host.attach_uplink(&channel.uplink_from_a());
+  server_host.attach_uplink(&channel.uplink_from_b());
   if (spec.make_link_sizer) {
-    a_to_b.set_payload_sizer(spec.make_link_sizer());
-    b_to_a.set_payload_sizer(spec.make_link_sizer());
+    channel.uplink_from_a().set_payload_sizer(spec.make_link_sizer());
+    channel.uplink_from_b().set_payload_sizer(spec.make_link_sizer());
   }
-
-  // Taps record into one stream per shard, each record keyed by the event
-  // that produced it; after the run the streams merge back into the one
-  // canonical order and replay into the PacketTrace.
-  struct KeyedRecord {
-    sim::EventKey key;
-    sim::Time time = 0;
-    net::Packet packet;
-  };
-  bool tracing = false;
-  std::vector<KeyedRecord> taps[2];
-  const auto tap_into = [&](std::size_t shard) {
-    return [&, shard](const net::Packet& p) {
-      if (!tracing) return;
-      const sim::EventQueue& q = engine.queue(shard);
-      taps[shard].push_back({q.current_key(), q.now(), p});
-    };
-  };
-  a_to_b.set_tap(tap_into(client_shard));
-  b_to_a.set_tap(tap_into(server_shard));
 
   server::HttpServer server(server_host,
                             server::StaticSite::from_microscape(site),
                             spec.server, rng.fork());
   server.start(kHttpPort);
 
-  run.use(client_shard);
   client::ClientConfig client_config = spec.client;
   client_config.tcp.recv_buffer = std::min(client_config.tcp.recv_buffer,
                                            spec.network.client_recv_buffer);
   client::Robot robot(client_host, kServerAddr, kHttpPort, client_config);
-  run.use(0);
 
   // Generous horizon: even PPP first visits finish within 120 s; the bound
   // only protects against pathological stalls.
-  const auto run_to_completion = [&] { engine.run_until(sim::seconds(600)); };
-  // The robot starts inside a client-shard event: it transmits the first
-  // SYN, and a tap (or a crossing) keys its record by the executing event.
-  const auto start_on_client_shard = [&](auto start) {
-    client_queue.schedule_at(client_queue.now(), std::move(start));
-  };
+  const auto run_to_completion = [&] { queue.run_until(sim::seconds(600)); };
 
   if (spec.scenario == Scenario::kRevalidation) {
     // Unmeasured warm-up to populate the cache.
     bool warm_done = false;
-    start_on_client_shard(
-        [&] { robot.start_first_visit("/index.html", [&] { warm_done = true; }); });
+    robot.start_first_visit("/index.html", [&] { warm_done = true; });
     run_to_completion();
     if (!warm_done) {
       return RunResult{};  // warm-up stalled; surfaced as incomplete
     }
     // Let connections drain fully, then start measuring.
-    engine.run_until(engine.now() + sim::seconds(120));
+    queue.run_for(sim::seconds(120));
     client_host.reset_connection_counters();
   }
 
-  tracing = true;
+  channel.set_trace(&trace);
   if (spec.scenario == Scenario::kFirstVisit) {
-    start_on_client_shard([&] { robot.start_first_visit("/index.html", [] {}); });
+    robot.start_first_visit("/index.html", [] {});
   } else {
-    start_on_client_shard([&] { robot.start_revalidation("/index.html", [] {}); });
+    robot.start_revalidation("/index.html", [] {});
   }
   run_to_completion();
   // Allow connection teardown (FIN exchanges) to be captured.
-  engine.run_until(engine.now() + sim::seconds(120));
-
-  obs::Registry& registry = run.merge();
-  net::PacketTrace trace(kClientAddr);  // trace.* binds the merged registry
-  std::vector<KeyedRecord>& records = taps[0];
-  const auto shard0_end = static_cast<std::ptrdiff_t>(records.size());
-  records.insert(records.end(), std::make_move_iterator(taps[1].begin()),
-                 std::make_move_iterator(taps[1].end()));
-  std::inplace_merge(records.begin(), records.begin() + shard0_end,
-                     records.end(),
-                     [](const KeyedRecord& a, const KeyedRecord& b) {
-                       return a.key < b.key;
-                     });
-  for (const KeyedRecord& r : records) trace.record(r.time, r.packet);
+  queue.run_for(sim::seconds(120));
 
   if (spec.inspect_robot) spec.inspect_robot(robot);
   if (spec.inspect_trace) spec.inspect_trace(trace);

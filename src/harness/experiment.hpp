@@ -1,6 +1,9 @@
 // Experiment runner: wires a Robot and an HttpServer across a simulated
 // channel, runs the paper's two scenarios, and reports the four quantities
 // of the paper's tables (Pa, Bytes, Sec, %ov) plus richer diagnostics.
+// The paper's setup is one client and one server over one link, so a run is
+// one sim::EventQueue, one obs::Registry and one net::Channel, whose
+// client-side tap feeds the packet trace; only run_workload's fleets shard.
 #pragma once
 
 #include <cstdint>
@@ -52,13 +55,6 @@ struct ExperimentSpec {
   /// Optional: handed the run's metrics registry before teardown, so callers
   /// can aggregate counters/histograms across runs.
   obs::MetricsSink* metrics_sink = nullptr;
-  /// Worker threads, mirroring WorkloadConfig::threads. There is one engine
-  /// (harness/parallel.hpp): 0 runs it as one shard with no crossings;
-  /// >= 1 splits it into a client shard and a server shard, unless the
-  /// channel has less than 1 ns of lookahead, which keeps one shard. The
-  /// shard count is fixed at 2, so every threads >= 1 value is
-  /// byte-identical.
-  unsigned threads = 0;
 };
 
 struct RunResult {

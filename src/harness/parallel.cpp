@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "harness/chaos.hpp"
 #include "net/channel.hpp"
 
 namespace hsim::harness {
@@ -30,14 +29,6 @@ sim::Time workload_lookahead(const WorkloadConfig& config) {
   // bottleneck pair(s) are wholly shard-0.
   return std::min(config_min_latency(access.a_to_b),
                   config_min_latency(access.b_to_a));
-}
-
-sim::Time run_once_lookahead(const ExperimentSpec& spec) {
-  net::ChannelConfig channel = spec.network.channel_config();
-  if (spec.mutate_channel) spec.mutate_channel(channel);
-  apply_profile_overlay(spec.profile, channel, "access");
-  return std::min(config_min_latency(channel.a_to_b),
-                  config_min_latency(channel.b_to_a));
 }
 
 namespace {

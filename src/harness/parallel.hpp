@@ -1,25 +1,26 @@
-// The engine behind the harness entry points.
+// The engine behind run_workload, the one harness entry point that shards.
 //
-// run_workload and run_once build every simulation on a sim::ShardedEngine.
-// There is one engine: threads = 0 (and any topology with less than 1 ns of
-// cross-shard lookahead) runs as one shard with no crossings, which executes
-// exactly what a single EventQueue would. With threads >= 1 the partition is
+// run_workload builds every fleet on a sim::ShardedEngine. threads = 0 (and
+// any topology with less than 1 ns of cross-shard lookahead) runs it as one
+// shard with no crossings, which executes exactly what a single EventQueue
+// would. With threads >= 1 the partition is
 //
-//   workload, star     — shard 0 owns the server host, the HTTP server and
-//                        both bottleneck links; client i (host + access link
-//                        pair + robot) lives on shard 1 + i mod (S-1).
-//                        Client uplinks remote-deliver into the funnel on
-//                        shard 0; the bottleneck downlink remote-delivers
-//                        per packet.dst straight to the owning client shard.
-//   workload, dumbbell — routers, queue disciplines, the bottleneck pair(s),
-//                        the server legs and every client *downlink* stay on
-//                        shard 0 (they are all driven by shard-0 components);
-//                        only each client's uplink moves to its client shard
-//                        (TopologyBuilder::set_uplink_placement). Uplink
-//                        deliveries cross into the gate router; downlink
-//                        deliveries cross back to the client's shard.
-//   run_once           — two shards: 0 = client side, 1 = server side, the
-//                        duplex channel's two links split accordingly.
+//   star     — shard 0 owns the server host, the HTTP server and both
+//              bottleneck links; client i (host + access link pair + robot)
+//              lives on shard 1 + i mod (S-1). Client uplinks remote-deliver
+//              into the funnel on shard 0; the bottleneck downlink
+//              remote-delivers per packet.dst straight to the owning client
+//              shard.
+//   dumbbell — routers, queue disciplines, the bottleneck pair(s), the
+//              server legs and every client *downlink* stay on shard 0 (they
+//              are all driven by shard-0 components); only each client's
+//              uplink moves to its client shard
+//              (TopologyBuilder::set_uplink_placement). Uplink deliveries
+//              cross into the gate router; downlink deliveries cross back to
+//              the client's shard.
+//
+// run_once (the paper's one client, one server, one link) never shards: it
+// runs on one sim::EventQueue.
 //
 // A crossing is installed only where its two ends sit on different shards.
 // Determinism: every rng stream is forked in the same order whatever the
@@ -34,7 +35,6 @@
 #include <memory>
 #include <vector>
 
-#include "harness/experiment.hpp"
 #include "harness/workload.hpp"
 #include "net/link.hpp"
 #include "obs/metrics.hpp"
@@ -48,7 +48,6 @@ namespace hsim::harness {
 /// shard boundary. < 1 ns means the topology cannot be split, and the run
 /// uses one shard.
 sim::Time workload_lookahead(const WorkloadConfig& config);
-sim::Time run_once_lookahead(const ExperimentSpec& spec);
 
 /// The engine plus one metrics registry per shard. The engine's shard-enter
 /// hook installs a shard's registry before its slice runs; shard 0's is the

@@ -114,22 +114,6 @@ void check_conservation(SoakResult& out, const topo::Topology& topo,
   }
 }
 
-/// Registry counters may only grow. Keeps just the previous epoch's counter
-/// map, so the sweep is O(counters) in space regardless of run length.
-void check_monotonic(SoakResult& out, const obs::Snapshot& prev,
-                     const obs::Snapshot& cur, const std::string& where) {
-  for (const auto& [name, value] : prev.counters) {
-    const auto it = cur.counters.find(name);
-    const std::uint64_t now_value = it == cur.counters.end() ? 0 : it->second;
-    if (now_value < value) {
-      std::ostringstream oss;
-      oss << where << " counter " << name << " went backwards: " << value
-          << " -> " << now_value;
-      add_violation(out, oss.str());
-    }
-  }
-}
-
 }  // namespace
 
 SoakResult run_soak(const SoakConfig& config,
@@ -219,18 +203,10 @@ SoakResult run_soak(const SoakConfig& config,
     }
   };
 
-  obs::Snapshot prev_epoch;
-  bool have_prev = false;
   wc.on_epoch = [&] {
     ++out.epochs_checked;
     const std::string where = "epoch " + std::to_string(out.epochs_checked);
     if (live_topo != nullptr) check_conservation(out, *live_topo, where);
-    if (obs::Registry* reg = obs::registry()) {
-      obs::Snapshot cur = reg->snapshot();
-      if (have_prev) check_monotonic(out, prev_epoch, cur, where);
-      prev_epoch = std::move(cur);
-      have_prev = true;
-    }
   };
 
   out.workload = run_workload(wc, site);

@@ -14,12 +14,13 @@
 //   - link conservation per router egress: dequeued == sent + every drop
 //                                          bucket + packets still queued
 //   - router accounting: forwarded == sum of egress enqueues
-//   - registry monotonicity: no counter ever decreases between epochs
 //
 // and after the drain the harness checks that every client reached a verdict,
 // every permanently-failed request carries a failure attribution, and no
 // connection leaked on either side. Everything is deterministic for a given
 // master seed — two runs of the same SoakConfig produce identical results.
+// Registry counters need no oracle: obs::Counter only adds, its merge only
+// adds, and a registry never erases a name, so no counter can decrease.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +67,8 @@ struct SoakConfig {
   /// it arms any client recovery knob still at its "hang forever" default
   /// (attempts, deadlines, backoff, 5xx retry) so the run always terminates.
   /// The epoch oracles are shard-aware: they fire at engine barriers with
-  /// every worker parked, against a registry merged in shard order, so the
-  /// soak stays green at any thread count.
+  /// every worker parked and read only the live topology, so the soak stays
+  /// green at any thread count.
   WorkloadConfig workload = soak_workload();
 
   /// The scripted faults. Flap windows must not overlap each other (the link

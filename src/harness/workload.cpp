@@ -334,15 +334,11 @@ WorkloadResult run_workload(const WorkloadConfig& config,
 
   if (config.epoch > 0 && config.on_epoch) {
     // Oracles fire at barriers with every worker parked, so walking topology
-    // state is safe. They read shard 0's registry in place when it is the
-    // only one; several shards are merged in shard order into a scratch
-    // registry, so counter monotonicity holds epoch over epoch either way.
+    // state is safe. They run with no registry installed: the run's metrics
+    // live in per-shard registries until the final merge, so there is no
+    // whole-run view to read mid-run.
     engine.set_epochs(config.epoch, config.horizon, [&](sim::Time) {
-      obs::Registry epoch_view;
-      if (S > 1) {
-        for (const auto& reg : run.regs) epoch_view.merge_from(*reg);
-      }
-      obs::ScopedRegistry in_epoch(S == 1 ? run.regs[0].get() : &epoch_view);
+      obs::ScopedRegistry none(nullptr);
       config.on_epoch();
     });
   }

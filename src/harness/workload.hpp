@@ -111,8 +111,11 @@ struct WorkloadConfig {
   std::function<void(topo::Topology&, sim::EventQueue&)> on_topology;
 
   /// When both are set, on_epoch fires every `epoch` of simulated time up to
-  /// the horizon (first firing at t = epoch). The soak harness runs its
-  /// invariant oracles here.
+  /// the horizon (first firing at t = epoch), at an engine barrier with every
+  /// worker parked. It runs with no metrics registry installed
+  /// (obs::registry() is null): mid-run the metrics are split across the
+  /// shard registries, so there is no whole-run view to read. The soak
+  /// harness runs its topology oracles here.
   sim::Time epoch = 0;
   std::function<void()> on_epoch;
 

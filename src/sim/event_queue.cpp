@@ -83,7 +83,6 @@ void EventQueue::run_top() {
   slot.live = false;
   release(node.slot);
   now_ = node.when;
-  current_key_ = node.key();
   cb();
 }
 

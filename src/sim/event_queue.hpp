@@ -125,10 +125,6 @@ class alignas(64) EventQueue {
   static constexpr Time kNoEvent = std::numeric_limits<Time>::max();
   Time next_event_time();
 
-  /// Key of the event currently executing (valid only inside a callback).
-  /// Taps use it to merge per-shard observation streams in canonical order.
-  const EventKey& current_key() const { return current_key_; }
-
   /// Moves the clock forward to `t` without executing anything (the barrier
   /// scheduler's equivalent of run_until's trailing `now_ = deadline`).
   void advance_to(Time t) {
@@ -177,7 +173,6 @@ class alignas(64) EventQueue {
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint32_t shard_ = 0;
-  EventKey current_key_{};
   std::vector<Node> heap_;  // binary heap maintained via std::push/pop_heap
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // slots with no node in the heap

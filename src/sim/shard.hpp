@@ -1,6 +1,7 @@
 // Host-sharded parallel discrete-event engine (conservative lookahead).
 //
-// The one engine the harness drives. It partitions the simulation into S
+// The engine behind the harness's fleets (harness::run_workload; run_once
+// runs on a bare EventQueue). It partitions the simulation into S
 // shards, each owning a private EventQueue and the components that schedule
 // against it (hosts, robots, the links whose transmitter they drive). Shards
 // only interact through explicit cross-shard messages (post()), which a
@@ -38,8 +39,9 @@
 // events by that key. A single global queue orders by (fire time, global
 // insertion order); the sharded order coincides with it except when two
 // events from different shards collide on BOTH fire time and schedule time —
-// a double coincidence the golden-trace thread matrix empirically rules out
-// for the pinned scenarios.
+// a double coincidence the workload thread matrix (star and dumbbell fleets,
+// tests/parallel_determinism_test.cpp) empirically rules out for the pinned
+// scenarios.
 #pragma once
 
 #include <atomic>

@@ -32,9 +32,8 @@ std::string golden_path(const std::string& name) {
   return std::string(HSIM_GOLDEN_DIR) + "/" + name + ".trace";
 }
 
-// Compares the scenario against its golden as given, on the sharded engine
-// at 2 and 4 worker threads, and under the identity "flat" netem overlay:
-// neither the thread count nor the flat profile may move a single packet.
+// Compares the scenario against its golden as given and under the identity
+// "flat" netem overlay, which may not move a single packet.
 void check_against_golden(const std::string& name,
                           const harness::ExperimentSpec& spec) {
   std::vector<net::TraceRecord> expected;
@@ -47,15 +46,11 @@ void check_against_golden(const std::string& name,
 
   struct Variant {
     const char* suffix;  // artifact name suffix
-    unsigned threads;
     const char* profile;
   };
-  for (const Variant& v :
-       {Variant{"", 0, ""}, Variant{"_T2", 2, ""}, Variant{"_T4", 4, ""},
-        Variant{"_flat", 0, "flat"}}) {
+  for (const Variant& v : {Variant{"", ""}, Variant{"_flat", "flat"}}) {
     const std::string tag = name + v.suffix;
     harness::ExperimentSpec run = spec;
-    run.threads = v.threads;
     run.profile = v.profile;
     const std::vector<net::TraceRecord> actual =
         harness::capture_trace(run, harness::shared_site());

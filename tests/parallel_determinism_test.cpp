@@ -3,16 +3,15 @@
 // The engine's contract (harness/parallel.hpp): for a fixed shard
 // partition, the worker thread count is a pure performance knob — T=1 and
 // T=2/4/8 runs of the same configuration are byte-identical, over every
-// surface a consumer can observe: WorkloadResult fields, the full metrics
-// registry dump, and the per-packet client trace. This suite pins that
-// contract on both canonical topologies over several seeds, pins the
-// multi-shard T=1 run against the one-shard (threads=0) run on every
-// surface, and pins the zero-lookahead case, which stays on one shard at any
-// thread count.
+// surface a consumer can observe: WorkloadResult fields and the full
+// metrics registry dump. This suite pins that contract on both canonical
+// topologies over several seeds, pins the multi-shard T=1 run against the
+// one-shard (threads=0) run on every surface, and pins the zero-lookahead
+// case, which stays on one shard at any thread count.
 //
 // On divergence each test writes the expected/actual dumps next to the test
-// binary (parallel_<name>.expected.txt / .actual.txt, and .actual.trace for
-// trace divergences) so CI uploads them as artifacts.
+// binary (parallel_<name>.expected.txt / .actual.txt) so CI uploads them as
+// artifacts.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -21,7 +20,6 @@
 
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
-#include "harness/scenarios.hpp"
 #include "harness/soak.hpp"
 #include "harness/workload.hpp"
 #include "net/trace_io.hpp"
@@ -142,71 +140,10 @@ TEST(ParallelDeterminism, ShardedMatchesClassicDriver) {
   }
 }
 
-// run_once: the per-packet client trace (the finest-grained observable — the
-// golden-trace format) is identical at every thread count, star scenario
-// table4 and WAN scenario table6.
-TEST(ParallelDeterminism, RunOnceTraceThreadMatrix) {
-  struct Pinned {
-    const char* name;
-    harness::ExperimentSpec spec;
-  };
-  const Pinned pinned[] = {
-      {"table4", harness::golden_table4_spec()},
-      {"table6", harness::golden_table6_spec()},
-  };
-  for (const Pinned& p : pinned) {
-    harness::ExperimentSpec spec = p.spec;
-    spec.threads = 1;
-    const std::vector<net::TraceRecord> base =
-        harness::capture_trace(spec, harness::shared_site());
-    ASSERT_FALSE(base.empty());
-    for (unsigned t : kThreadMatrix) {
-      spec.threads = t;
-      const std::vector<net::TraceRecord> run =
-          harness::capture_trace(spec, harness::shared_site());
-      const net::TraceDiff diff = net::diff_traces(base, run);
-      if (!diff.identical) {
-        net::write_file(std::string("parallel_") + p.name + "_T" +
-                            std::to_string(t) + ".actual.trace",
-                        net::trace_to_text(run));
-        net::write_file(std::string("parallel_") + p.name + "_T" +
-                            std::to_string(t) + ".diff.txt",
-                        diff.report);
-      }
-      EXPECT_TRUE(diff.identical)
-          << p.name << " trace diverged at T=" << t << " ("
-          << diff.differing << " records differ, first at "
-          << diff.first_diff << ")";
-    }
-  }
-}
-
-// run_once: the two-shard T=1 trace against the one-shard (threads=0) run's,
-// byte for byte.
-TEST(ParallelDeterminism, RunOnceMatchesClassicDriver) {
-  harness::ExperimentSpec spec = harness::golden_table4_spec();
-  spec.threads = 0;
-  const std::vector<net::TraceRecord> classic =
-      harness::capture_trace(spec, harness::shared_site());
-  spec.threads = 1;
-  const std::vector<net::TraceRecord> sharded =
-      harness::capture_trace(spec, harness::shared_site());
-  const net::TraceDiff diff = net::diff_traces(classic, sharded);
-  if (!diff.identical) {
-    net::write_file("parallel_classic_vs_sharded.actual.trace",
-                    net::trace_to_text(sharded));
-    net::write_file("parallel_classic_vs_sharded.diff.txt", diff.report);
-  }
-  EXPECT_TRUE(diff.identical)
-      << "two-shard T=1 trace diverged from the one-shard run\n"
-      << diff.report;
-}
-
 // Access legs with zero propagation delay leave no cross-shard lookahead,
 // so every thread count runs the one-shard engine: threads=4 must reproduce
 // threads=0 byte for byte — workload fingerprints with the full metrics
-// dump, the dumbbell's multi-hop trace, and run_once's client trace, result
-// fields and metrics dump.
+// dump and the dumbbell's multi-hop trace.
 void zero_delay(net::ChannelConfig& channel) {
   channel.a_to_b.propagation_delay = 0;
   channel.b_to_a.propagation_delay = 0;
@@ -237,34 +174,36 @@ TEST(ParallelDeterminism, ZeroLookaheadRunsOneShardAtAnyThreadCount) {
     expect_identical(dumps[0], dumps[1], name);
     expect_identical(hops[0], hops[1], name + "_hops");
   }
-
-  harness::ExperimentSpec spec = harness::golden_table6_spec();
-  spec.mutate_channel = zero_delay;
-  ASSERT_LT(harness::run_once_lookahead(spec), 1);
-  std::string traces[2];
-  std::string results[2];
-  for (unsigned t : {0u, 4u}) {
-    spec.threads = t;
-    spec.inspect_trace = [&traces, t](const net::PacketTrace& trace) {
-      traces[t != 0] = net::trace_to_text(trace.records());
-    };
-    const harness::RunResult r = harness::run_once(spec, harness::shared_site());
-    EXPECT_TRUE(r.robot.complete);
-    results[t != 0] = "packets=" + std::to_string(r.trace.packets) +
-                      " wire=" + std::to_string(r.trace.wire_bytes) +
-                      " page=" + std::to_string(r.robot.finished -
-                                                r.robot.started) +
-                      " conns=" + std::to_string(r.connections_used) + "\n" +
-                      r.metrics.dump_text();
-  }
-  EXPECT_FALSE(traces[0].empty());
-  expect_identical(traces[0], traces[1], "zero_lookahead_run_once_trace");
-  expect_identical(results[0], results[1], "zero_lookahead_run_once");
 }
 
-// The soak harness's conservation/monotonicity oracles run at engine
-// barriers against a merged registry view; they must stay green at T>1 and
-// reach the same verdict and counters as the T=1 run.
+// The epoch hook sees no registry at any thread count: mid-run the metrics
+// are split across the shard registries, and one shard's partial view (or a
+// scratch merge of all of them) is not the run's.
+TEST(ParallelDeterminism, EpochHookRunsWithNoRegistry) {
+  for (unsigned t : {0u, 4u}) {
+    harness::WorkloadConfig config =
+        matrix_workload(harness::TopologyKind::kDumbbell, 9);
+    config.num_clients = 4;
+    config.threads = t;
+    config.horizon = sim::seconds(10);
+    config.epoch = sim::seconds(1);
+    unsigned epochs = 0;
+    unsigned with_registry = 0;
+    config.on_epoch = [&] {
+      ++epochs;
+      if (obs::registry() != nullptr) ++with_registry;
+    };
+    const harness::WorkloadResult r =
+        run_workload(config, harness::shared_site());
+    EXPECT_EQ(r.completed(), config.num_clients) << "threads=" << t;
+    EXPECT_EQ(epochs, 10u) << "threads=" << t;
+    EXPECT_EQ(with_registry, 0u) << "threads=" << t;
+  }
+}
+
+// The soak harness's conservation oracles walk the live topology at engine
+// barriers; they must stay green at T>1 and reach the same verdict and
+// counters as the T=1 run.
 TEST(ParallelDeterminism, SoakOraclesGreenAcrossThreads) {
   harness::SoakConfig config;
   config.workload.num_clients = 20;

@@ -142,18 +142,6 @@ TEST(ShardQueueTest, NextEventTimePurgesCancelledTop) {
   EXPECT_EQ(q.pending(), 1u);
 }
 
-TEST(ShardQueueTest, CurrentKeyIsVisibleDuringCallback) {
-  EventQueue q;
-  q.set_shard(4);
-  EventKey seen{};
-  q.schedule_at(15, [&] { seen = q.current_key(); });
-  q.run();
-  EXPECT_EQ(seen.when, 15);
-  EXPECT_EQ(seen.sched, 0);
-  EXPECT_EQ(seen.src, 4u);
-  EXPECT_NE(seen.seq, 0u);
-}
-
 // ---- ShardedEngine rounds --------------------------------------------------
 
 TEST(ShardedEngineTest, LegalScheduleNeverViolatesLookahead) {
