@@ -1,8 +1,10 @@
 #include "content/gif.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <map>
+
+#include "content/lzw_dict.hpp"
 
 namespace hsim::content {
 
@@ -10,6 +12,11 @@ namespace {
 
 constexpr unsigned kMaxCodeWidth = 12;
 constexpr unsigned kMaxCodes = 1u << kMaxCodeWidth;
+
+/// The root code sizes the encoder writes: 2 bits up to one byte per pixel.
+bool code_size_in_range(unsigned min_code_size) {
+  return min_code_size >= 2 && min_code_size <= 8;
+}
 
 // LSB-first bit packer (GIF packs LZW codes LSB first, like DEFLATE).
 class LzwBitWriter {
@@ -116,8 +123,8 @@ std::vector<std::uint8_t> gif_lzw_compress(
   const std::uint32_t clear_code = 1u << min_code_size;
   const std::uint32_t eoi_code = clear_code + 1;
 
-  // Dictionary maps (prefix_code << 8 | byte) -> code.
-  std::map<std::uint32_t, std::uint32_t> dict;
+  // At most kMaxCodes codes live in 2 * kMaxCodes slots.
+  LzwDict<kMaxCodeWidth + 1> dict;
   std::uint32_t next_code = eoi_code + 1;
   unsigned width = min_code_size + 1;
 
@@ -137,12 +144,13 @@ std::vector<std::uint8_t> gif_lzw_compress(
   for (std::size_t i = 1; i < indices.size(); ++i) {
     const std::uint8_t byte = indices[i];
     const std::uint32_t key = (current << 8) | byte;
-    if (auto it = dict.find(key); it != dict.end()) {
-      current = it->second;
+    const std::uint32_t slot = dict.slot(key);
+    if (dict.holds(slot)) {
+      current = dict.code(slot);
       continue;
     }
     out.write(current, width);
-    dict[key] = next_code++;
+    dict.put(slot, key, next_code++);
     // Widen when the next code to be EMITTED would not fit; GIF widens when
     // next_code exceeds the current width's range.
     if (next_code > (1u << width) && width < kMaxCodeWidth) {
@@ -159,18 +167,29 @@ std::vector<std::uint8_t> gif_lzw_compress(
 }
 
 std::optional<std::vector<std::uint8_t>> gif_lzw_decompress(
-    std::span<const std::uint8_t> data, unsigned min_code_size) {
+    std::span<const std::uint8_t> data, unsigned min_code_size,
+    std::size_t max_out) {
+  if (!code_size_in_range(min_code_size)) return std::nullopt;
   LzwBitReader in(data);
   const std::uint32_t clear_code = 1u << min_code_size;
   const std::uint32_t eoi_code = clear_code + 1;
 
-  std::vector<std::vector<std::uint8_t>> dict;
+  // Entry `code` is entry prefix[code] followed by suffix[code]; first[code]
+  // is its first byte and length[code] its length. Roots (code < clear_code)
+  // are single bytes; clear_code and eoi_code are never entries, and every
+  // code from eoi_code + 1 up to `size` is.
+  std::array<std::uint16_t, kMaxCodes> prefix{};
+  std::array<std::uint8_t, kMaxCodes> suffix{};
+  std::array<std::uint8_t, kMaxCodes> first{};
+  std::array<std::uint16_t, kMaxCodes> length{};
+  for (std::uint32_t i = 0; i < clear_code; ++i) {
+    suffix[i] = first[i] = static_cast<std::uint8_t>(i);
+    length[i] = 1;
+  }
+  std::uint32_t size = 0;  // codes below `size` are entries or control codes
   unsigned width = 0;
   auto reset_dict = [&] {
-    dict.assign(eoi_code + 1, {});
-    for (std::uint32_t i = 0; i < clear_code; ++i) {
-      dict[i] = {static_cast<std::uint8_t>(i)};
-    }
+    size = eoi_code + 1;
     width = min_code_size + 1;
   };
   reset_dict();
@@ -185,25 +204,30 @@ std::optional<std::vector<std::uint8_t>> gif_lzw_decompress(
       continue;
     }
     if (code == eoi_code) return out;
-    std::vector<std::uint8_t> entry;
-    if (code < dict.size() && !dict[code].empty()) {
-      entry = dict[code];
-    } else if (code == dict.size() && prev != UINT32_MAX) {
-      // The (K omega K) special case.
-      entry = dict[prev];
-      entry.push_back(dict[prev][0]);
-    } else {
-      return std::nullopt;
+    // The (K omega K) special case: `code` is the entry about to be added,
+    // prev's string followed by prev's first byte.
+    const bool kwk = code == size && prev != UINT32_MAX;
+    if (!kwk && code >= size) return std::nullopt;
+    const std::uint32_t known = kwk ? prev : code;
+    const std::size_t n = length[known] + (kwk ? 1u : 0u);
+    if (n > max_out - out.size()) return std::nullopt;
+    out.resize(out.size() + n);
+    auto at = out.end();
+    if (kwk) *--at = first[prev];
+    for (std::uint32_t c = known;; c = prefix[c]) {
+      *--at = suffix[c];
+      if (length[c] == 1) break;
     }
-    out.insert(out.end(), entry.begin(), entry.end());
-    if (prev != UINT32_MAX && dict.size() < kMaxCodes) {
-      std::vector<std::uint8_t> fresh = dict[prev];
-      fresh.push_back(entry[0]);
-      dict.push_back(std::move(fresh));
+    if (prev != UINT32_MAX && size < kMaxCodes) {
+      prefix[size] = static_cast<std::uint16_t>(prev);
+      suffix[size] = first[known];
+      first[size] = first[prev];
+      length[size] = static_cast<std::uint16_t>(length[prev] + 1);
+      ++size;
       // The decoder's dictionary lags the encoder's by one entry (the encoder
       // adds after each emission; the decoder adds one read later), so widen
       // as soon as the size *reaches* the width limit.
-      if (dict.size() >= (1u << width) && width < kMaxCodeWidth) {
+      if (size >= (1u << width) && width < kMaxCodeWidth) {
         ++width;
       }
     }
@@ -375,13 +399,19 @@ GifDecodeResult decode_gif(std::span<const std::uint8_t> data) {
       return result;
     }
     const unsigned min_code_size = c.u8();
+    if (!code_size_in_range(min_code_size)) {
+      result.error = "bad lzw code size";
+      return result;
+    }
     std::vector<std::uint8_t> lzw;
     if (!read_sub_blocks(c, lzw)) {
       result.error = "truncated image data";
       return result;
     }
-    const auto pixels = gif_lzw_decompress(lzw, min_code_size);
-    if (!pixels || pixels->size() != static_cast<std::size_t>(w) * h) {
+    // The cap stops a hostile code stream from expanding past the frame.
+    const std::size_t frame_pixels = static_cast<std::size_t>(w) * h;
+    const auto pixels = gif_lzw_decompress(lzw, min_code_size, frame_pixels);
+    if (!pixels || pixels->size() != frame_pixels) {
       result.error = "lzw decode failed";
       return result;
     }

@@ -5,6 +5,7 @@
 // the animated banners on 1997 home pages.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -36,8 +37,10 @@ GifDecodeResult decode_gif(std::span<const std::uint8_t> data);
 std::vector<std::uint8_t> gif_lzw_compress(
     std::span<const std::uint8_t> indices, unsigned min_code_size);
 
-/// Decompresses; empty optional on malformed input.
+/// Decompresses; empty optional on malformed input, on a root code size
+/// outside 2..8, or once the output would grow past `max_out` bytes.
 std::optional<std::vector<std::uint8_t>> gif_lzw_decompress(
-    std::span<const std::uint8_t> data, unsigned min_code_size);
+    std::span<const std::uint8_t> data, unsigned min_code_size,
+    std::size_t max_out);
 
 }  // namespace hsim::content

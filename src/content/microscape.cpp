@@ -10,6 +10,9 @@ namespace hsim::content {
 
 namespace {
 
+constexpr std::uint64_t kSeed = 1997;
+constexpr std::size_t kHtmlBytes = 42 * 1024;
+
 /// Published size histogram of the 40 static images (bytes). 19 under 1 KB,
 /// 7 of 1-2 KB, 6 of 2-3 KB, 8 larger including the ~40 KB hero; the total
 /// approximates the paper's 103,299 bytes. Entry 14 is the 682-byte
@@ -235,35 +238,19 @@ std::vector<ImageReplacement> MicroscapeSite::css_replacements() const {
   return out;
 }
 
-MicroscapeSite build_microscape(const MicroscapeConfig& config) {
+MicroscapeSite build_microscape() {
   MicroscapeSite site;
-  sim::Rng rng(config.seed);
-  if (config.build_images) {
-    for (std::size_t i = 0; i < kStaticTargets.size(); ++i) {
-      site.images.push_back(
-          build_static_image(i, kStaticTargets[i], config.seed));
-    }
-    for (std::size_t i = 0; i < kAnimationTargets.size(); ++i) {
-      site.images.push_back(
-          build_animation(i, kAnimationTargets[i], config.seed));
-    }
-    // Spread the animations through the page rather than leaving them last.
-    std::swap(site.images[8], site.images[40]);
-    std::swap(site.images[25], site.images[41]);
-  } else {
-    // HTML-only mode still needs plausible <img> tags.
-    for (std::size_t i = 0; i < 42; ++i) {
-      SiteImage img;
-      char path[64];
-      std::snprintf(path, sizeof path, "/images/img%02zu.gif", i);
-      img.path = path;
-      img.kind = ImageKind::kBullet;
-      img.width = 16;
-      img.height = 16;
-      site.images.push_back(std::move(img));
-    }
+  sim::Rng rng(kSeed);
+  for (std::size_t i = 0; i < kStaticTargets.size(); ++i) {
+    site.images.push_back(build_static_image(i, kStaticTargets[i], kSeed));
   }
-  site.html = build_html(site.images, config.html_bytes, rng);
+  for (std::size_t i = 0; i < kAnimationTargets.size(); ++i) {
+    site.images.push_back(build_animation(i, kAnimationTargets[i], kSeed));
+  }
+  // Spread the animations through the page rather than leaving them last.
+  std::swap(site.images[8], site.images[40]);
+  std::swap(site.images[25], site.images[41]);
+  site.html = build_html(site.images, kHtmlBytes, rng);
   return site;
 }
 

@@ -46,14 +46,8 @@ struct MicroscapeSite {
   std::vector<ImageReplacement> css_replacements() const;
 };
 
-struct MicroscapeConfig {
-  std::uint64_t seed = 1997;
-  /// Target byte sizes; defaults reproduce the paper's histogram.
-  std::size_t html_bytes = 42 * 1024;
-  bool build_images = true;  // false skips image fitting (HTML-only tests)
-};
-
-MicroscapeSite build_microscape(const MicroscapeConfig& config = {});
+/// Builds the site (fixed seed, so every call returns the same bytes).
+MicroscapeSite build_microscape();
 
 /// The "--content modern" axis: the same page re-encoded with a 2020s image
 /// codec. Rasters, layout and HTML structure are identical; every image's

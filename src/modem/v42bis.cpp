@@ -4,10 +4,14 @@
 
 namespace hsim::modem {
 
-void V42bis::reset() {
+void V42bis::clear_dict() {
   dict_.clear();
   next_code_ = 259;
   code_width_ = 9;
+}
+
+void V42bis::reset() {
+  clear_dict();
   current_ = UINT32_MAX;
   total_in_ = 0;
 }
@@ -20,21 +24,20 @@ std::size_t V42bis::lzw_bits(std::span<const std::uint8_t> payload) {
       continue;
     }
     const std::uint32_t key = (current_ << 8) | byte;
-    if (const auto it = dict_.find(key); it != dict_.end()) {
-      current_ = it->second;
+    const std::uint32_t slot = dict_.slot(key);
+    if (dict_.holds(slot)) {
+      current_ = dict_.code(slot);
       continue;
     }
     bits += code_width_;  // emit `current_`
     if (next_code_ < kDictionarySize) {
-      dict_[key] = next_code_++;
+      dict_.put(slot, key, next_code_++);
       if (next_code_ > (1u << code_width_) && code_width_ < 11) {
         ++code_width_;
       }
     } else {
       // Dictionary full: V.42bis recycles entries; modelled as a flush.
-      dict_.clear();
-      next_code_ = 259;
-      code_width_ = 9;
+      clear_dict();
     }
     current_ = byte;
   }

@@ -14,10 +14,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 
+#include "content/lzw_dict.hpp"
 #include "net/link.hpp"
 
 namespace hsim::modem {
@@ -34,9 +34,10 @@ class V42bis {
 
  private:
   std::size_t lzw_bits(std::span<const std::uint8_t> payload);
+  void clear_dict();
 
   static constexpr std::uint32_t kDictionarySize = 2048;
-  std::map<std::uint32_t, std::uint32_t> dict_;  // (prefix<<8|byte) -> code
+  content::LzwDict<12> dict_;  // 4096 slots for the 2048 codes
   std::uint32_t next_code_ = 259;  // 0-255 roots + 3 control codes
   unsigned code_width_ = 9;
   std::uint32_t current_ = UINT32_MAX;  // cross-packet match state

@@ -104,6 +104,23 @@ TEST(MicroscapeTest, DeterministicAcrossBuilds) {
   }
 }
 
+// Every experiment serves these bytes; any change to the image fitting, the
+// GIF encoder or the HTML generator moves the digest.
+TEST(MicroscapeTest, SiteBytesArePinned) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64
+  auto mix = [&h](std::span<const std::uint8_t> bytes) {
+    for (std::uint8_t b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const SiteImage& img : site().images) mix(img.gif_bytes);
+  mix({reinterpret_cast<const std::uint8_t*>(site().html.data()),
+       site().html.size()});
+  EXPECT_EQ(h, 0xc5989c845b066525ull);
+  EXPECT_EQ(site().total_image_bytes(), 125711u);
+}
+
 TEST(MicroscapeTest, ScanHandlesPartialPrefix) {
   const std::string& html = site().html;
   // Find the offset just after the 5th image tag closes.
