@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "content/png.hpp"
-#include "deflate/checksum.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate/inflate.hpp"
 
@@ -14,29 +13,6 @@ namespace {
 
 constexpr std::uint8_t kMngSignature[8] = {0x8A, 'M',  'N',  'G',
                                            0x0D, 0x0A, 0x1A, 0x0A};
-
-void append_u32be(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint32_t read_u32be(std::span<const std::uint8_t> d, std::size_t at) {
-  return (static_cast<std::uint32_t>(d[at]) << 24) |
-         (static_cast<std::uint32_t>(d[at + 1]) << 16) |
-         (static_cast<std::uint32_t>(d[at + 2]) << 8) |
-         static_cast<std::uint32_t>(d[at + 3]);
-}
-
-void append_chunk(std::vector<std::uint8_t>& out, const char type[4],
-                  std::span<const std::uint8_t> data) {
-  append_u32be(out, static_cast<std::uint32_t>(data.size()));
-  std::vector<std::uint8_t> body(type, type + 4);
-  body.insert(body.end(), data.begin(), data.end());
-  out.insert(out.end(), body.begin(), body.end());
-  append_u32be(out, deflate::crc32(body));
-}
 
 }  // namespace
 
@@ -93,28 +69,9 @@ MngDecodeResult decode_mng(std::span<const std::uint8_t> data) {
 
   auto finish_first_frame = [&]() -> bool {
     if (!idat.empty() && result.animation.frames.empty()) {
-      // Reconstruct a PNG datastream and reuse the PNG decoder.
-      std::vector<std::uint8_t> png = {0x89, 'P',  'N',  'G',
-                                       0x0D, 0x0A, 0x1A, 0x0A};
-      std::vector<std::uint8_t> ihdr;
-      append_u32be(ihdr, width);
-      append_u32be(ihdr, height);
-      ihdr.push_back(static_cast<std::uint8_t>(depth));
-      ihdr.push_back(3);
-      ihdr.push_back(0);
-      ihdr.push_back(0);
-      ihdr.push_back(0);
-      append_chunk(png, "IHDR", ihdr);
-      std::vector<std::uint8_t> plte;
-      for (std::uint32_t c : palette) {
-        plte.push_back(static_cast<std::uint8_t>((c >> 16) & 0xFF));
-        plte.push_back(static_cast<std::uint8_t>((c >> 8) & 0xFF));
-        plte.push_back(static_cast<std::uint8_t>(c & 0xFF));
-      }
-      append_chunk(png, "PLTE", plte);
-      append_chunk(png, "IDAT", idat);
-      append_chunk(png, "IEND", {});
-      PngDecodeResult frame = decode_png(png);
+      // The first frame is the PNG chunks embedded directly.
+      PngDecodeResult frame =
+          decode_png_scanlines(width, height, depth, palette, idat);
       if (!frame.ok) {
         result.error = "first frame: " + frame.error;
         return false;
@@ -133,16 +90,15 @@ MngDecodeResult decode_mng(std::span<const std::uint8_t> data) {
     const char* type = reinterpret_cast<const char*>(&data[pos + 4]);
     std::span<const std::uint8_t> body(&data[pos + 8], len);
     if (std::memcmp(type, "IHDR", 4) == 0) {
-      width = read_u32be(data, pos + 8);
-      height = read_u32be(data, pos + 12);
+      if (len != 13) {
+        result.error = "bad IHDR";
+        return result;
+      }
+      width = read_u32be(body, 0);
+      height = read_u32be(body, 4);
       depth = body[8];
     } else if (std::memcmp(type, "PLTE", 4) == 0) {
-      palette.clear();
-      for (std::size_t i = 0; i + 2 < len; i += 3) {
-        palette.push_back((static_cast<std::uint32_t>(body[i]) << 16) |
-                          (static_cast<std::uint32_t>(body[i + 1]) << 8) |
-                          body[i + 2]);
-      }
+      palette = read_palette(body);
     } else if (std::memcmp(type, "IDAT", 4) == 0) {
       idat.insert(idat.end(), body.begin(), body.end());
     } else if (std::memcmp(type, "DIDT", 4) == 0) {
@@ -151,12 +107,12 @@ MngDecodeResult decode_mng(std::span<const std::uint8_t> data) {
         result.error = "delta before first frame";
         return result;
       }
-      const auto delta = deflate::zlib_decompress(body);
+      const IndexedImage& prev = result.animation.frames.back();
+      const auto delta = deflate::zlib_decompress(body, prev.pixels.size());
       if (!delta.ok) {
         result.error = "delta inflate: " + delta.error;
         return result;
       }
-      const IndexedImage& prev = result.animation.frames.back();
       if (delta.data.size() != prev.pixels.size()) {
         result.error = "delta size mismatch";
         return result;

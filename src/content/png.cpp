@@ -14,22 +14,6 @@ namespace {
 constexpr std::uint8_t kSignature[8] = {0x89, 'P',  'N',  'G',
                                         0x0D, 0x0A, 0x1A, 0x0A};
 
-void append_u32be(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void append_chunk(std::vector<std::uint8_t>& out, const char type[4],
-                  std::span<const std::uint8_t> data) {
-  append_u32be(out, static_cast<std::uint32_t>(data.size()));
-  std::vector<std::uint8_t> body(type, type + 4);
-  body.insert(body.end(), data.begin(), data.end());
-  out.insert(out.end(), body.begin(), body.end());
-  append_u32be(out, deflate::crc32(body));
-}
-
 /// PNG bit depth for a palette size: 1, 2, 4 or 8.
 unsigned depth_for_palette(std::size_t entries) {
   if (entries <= 2) return 1;
@@ -118,6 +102,39 @@ std::uint64_t abs_sum(std::span<const std::uint8_t> v) {
 
 }  // namespace
 
+void append_u32be(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  out.push_back(static_cast<std::uint8_t>(v >> 24));
+  out.push_back(static_cast<std::uint8_t>(v >> 16));
+  out.push_back(static_cast<std::uint8_t>(v >> 8));
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+std::uint32_t read_u32be(std::span<const std::uint8_t> data, std::size_t at) {
+  return (static_cast<std::uint32_t>(data[at]) << 24) |
+         (static_cast<std::uint32_t>(data[at + 1]) << 16) |
+         (static_cast<std::uint32_t>(data[at + 2]) << 8) |
+         static_cast<std::uint32_t>(data[at + 3]);
+}
+
+void append_chunk(std::vector<std::uint8_t>& out, const char type[4],
+                  std::span<const std::uint8_t> data) {
+  append_u32be(out, static_cast<std::uint32_t>(data.size()));
+  std::vector<std::uint8_t> body(type, type + 4);
+  body.insert(body.end(), data.begin(), data.end());
+  out.insert(out.end(), body.begin(), body.end());
+  append_u32be(out, deflate::crc32(body));
+}
+
+std::vector<std::uint32_t> read_palette(std::span<const std::uint8_t> plte) {
+  std::vector<std::uint32_t> palette;
+  for (std::size_t i = 0; i + 2 < plte.size(); i += 3) {
+    palette.push_back((static_cast<std::uint32_t>(plte[i]) << 16) |
+                      (static_cast<std::uint32_t>(plte[i + 1]) << 8) |
+                      plte[i + 2]);
+  }
+  return palette;
+}
+
 std::vector<std::uint8_t> encode_png(const IndexedImage& image,
                                      PngOptions options) {
   const unsigned depth = depth_for_palette(image.palette.size());
@@ -193,27 +210,21 @@ PngDecodeResult decode_png(std::span<const std::uint8_t> data) {
     return result;
   }
   std::size_t pos = 8;
-  unsigned width = 0, height = 0, depth = 0, color_type = 0;
+  unsigned width = 0, height = 0, depth = 0;
   std::vector<std::uint32_t> palette;
   std::vector<std::uint8_t> idat;
+  bool had_gamma = false;
   bool saw_end = false;
 
-  auto read_u32be = [&](std::size_t at) {
-    return (static_cast<std::uint32_t>(data[at]) << 24) |
-           (static_cast<std::uint32_t>(data[at + 1]) << 16) |
-           (static_cast<std::uint32_t>(data[at + 2]) << 8) |
-           static_cast<std::uint32_t>(data[at + 3]);
-  };
-
   while (pos + 12 <= data.size() && !saw_end) {
-    const std::uint32_t len = read_u32be(pos);
+    const std::uint32_t len = read_u32be(data, pos);
     if (pos + 12 + len > data.size()) {
       result.error = "truncated chunk";
       return result;
     }
     const char* type = reinterpret_cast<const char*>(&data[pos + 4]);
     std::span<const std::uint8_t> body(&data[pos + 8], len);
-    const std::uint32_t expect_crc = read_u32be(pos + 8 + len);
+    const std::uint32_t expect_crc = read_u32be(data, pos + 8 + len);
     const std::uint32_t got_crc =
         deflate::crc32(std::span(&data[pos + 4], len + 4));
     if (expect_crc != got_crc) {
@@ -225,42 +236,54 @@ PngDecodeResult decode_png(std::span<const std::uint8_t> data) {
         result.error = "bad IHDR";
         return result;
       }
-      width = read_u32be(pos + 8);
-      height = read_u32be(pos + 12);
+      width = read_u32be(body, 0);
+      height = read_u32be(body, 4);
       depth = body[8];
-      color_type = body[9];
-      if (color_type != 3 ||
-          (depth != 1 && depth != 2 && depth != 4 && depth != 8)) {
+      if (body[9] != 3) {  // color type: indexed
         result.error = "unsupported format (only indexed)";
         return result;
       }
     } else if (std::memcmp(type, "PLTE", 4) == 0) {
-      for (std::size_t i = 0; i + 2 < len; i += 3) {
-        palette.push_back((static_cast<std::uint32_t>(body[i]) << 16) |
-                          (static_cast<std::uint32_t>(body[i + 1]) << 8) |
-                          body[i + 2]);
-      }
+      palette = read_palette(body);
     } else if (std::memcmp(type, "IDAT", 4) == 0) {
       idat.insert(idat.end(), body.begin(), body.end());
     } else if (std::memcmp(type, "gAMA", 4) == 0) {
-      result.had_gamma = true;
+      had_gamma = true;
     } else if (std::memcmp(type, "IEND", 4) == 0) {
       saw_end = true;
     }
     pos += 12 + len;
   }
-  if (!saw_end || width == 0 || height == 0 || palette.empty()) {
+  if (!saw_end) {
     result.error = "incomplete png";
     return result;
   }
+  result = decode_png_scanlines(width, height, depth, std::move(palette), idat);
+  result.had_gamma = had_gamma;
+  return result;
+}
 
-  const auto inflated = deflate::zlib_decompress(idat);
+PngDecodeResult decode_png_scanlines(unsigned width, unsigned height,
+                                     unsigned depth,
+                                     std::vector<std::uint32_t> palette,
+                                     std::span<const std::uint8_t> idat) {
+  PngDecodeResult result;
+  if (depth != 1 && depth != 2 && depth != 4 && depth != 8) {
+    result.error = "unsupported format (only indexed)";
+    return result;
+  }
+  if (width == 0 || height == 0 || palette.empty()) {
+    result.error = "incomplete png";
+    return result;
+  }
+  const std::size_t rb = row_bytes(width, depth);
+  const std::size_t scanline_bytes = (rb + 1) * height;
+  const auto inflated = deflate::zlib_decompress(idat, scanline_bytes);
   if (!inflated.ok) {
     result.error = "idat: " + inflated.error;
     return result;
   }
-  const std::size_t rb = row_bytes(width, depth);
-  if (inflated.data.size() != (rb + 1) * height) {
+  if (inflated.data.size() != scanline_bytes) {
     result.error = "scanline size mismatch";
     return result;
   }
@@ -268,7 +291,7 @@ PngDecodeResult decode_png(std::span<const std::uint8_t> data) {
   IndexedImage img;
   img.width = width;
   img.height = height;
-  img.palette = palette;
+  img.palette = std::move(palette);
   img.pixels.resize(static_cast<std::size_t>(width) * height);
   std::vector<std::uint8_t> prev;
   std::vector<std::uint8_t> cur(rb);
@@ -287,7 +310,7 @@ PngDecodeResult decode_png(std::span<const std::uint8_t> data) {
       if (depth == 8) {
         v = cur[x];
       } else {
-        const unsigned bit = x * depth;
+        const std::size_t bit = static_cast<std::size_t>(x) * depth;
         v = static_cast<std::uint8_t>(
             (cur[bit / 8] >> (8 - depth - (bit % 8))) & ((1u << depth) - 1));
       }

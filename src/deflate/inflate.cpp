@@ -25,7 +25,12 @@ Inflater::Status Inflater::fail(std::string message) {
   return status_;
 }
 
-void Inflater::emit_byte(std::uint8_t byte, std::vector<std::uint8_t>& out) {
+bool Inflater::emit_byte(std::uint8_t byte, std::vector<std::uint8_t>& out) {
+  if (out_budget_ == 0) {
+    fail(kOutputCapError);
+    return false;
+  }
+  --out_budget_;
   out.push_back(byte);
   if (window_.size() < kWindow) {
     window_.push_back(byte);
@@ -35,18 +40,22 @@ void Inflater::emit_byte(std::uint8_t byte, std::vector<std::uint8_t>& out) {
   window_pos_ = (window_pos_ + 1) % kWindow;
   window_filled_ = std::min(window_filled_ + 1, kWindow);
   adler_ = adler32(std::span(&byte, 1), adler_);
+  return true;
 }
 
 bool Inflater::copy_match(unsigned length, unsigned dist,
                           std::vector<std::uint8_t>& out) {
-  if (dist == 0 || dist > window_filled_) return false;
+  if (dist == 0 || dist > window_filled_) {
+    fail("deflate: distance beyond window");
+    return false;
+  }
   for (unsigned i = 0; i < length; ++i) {
     const std::size_t src =
         (window_pos_ + kWindow - dist) % kWindow;
     const std::uint8_t byte =
         window_.size() < kWindow ? window_[window_.size() - dist]
                                  : window_[src];
-    emit_byte(byte, out);
+    if (!emit_byte(byte, out)) return false;
   }
   return true;
 }
@@ -174,7 +183,7 @@ bool Inflater::step(BitReader& reader, std::vector<std::uint8_t>& out,
           need_more = true;
           return true;  // byte-aligned: consumed bytes stay consumed
         }
-        emit_byte(reader.read_aligned_byte(), out);
+        if (!emit_byte(reader.read_aligned_byte(), out)) return false;
         --stored_remaining_;
       }
       state_ = final_block_ ? State::kAdler : State::kBlockHeader;
@@ -276,7 +285,7 @@ bool Inflater::step(BitReader& reader, std::vector<std::uint8_t>& out,
           return false;
         }
         if (sym < 256) {
-          emit_byte(static_cast<std::uint8_t>(sym), out);
+          if (!emit_byte(static_cast<std::uint8_t>(sym), out)) return false;
           continue;
         }
         if (sym == static_cast<int>(kEndOfBlock)) {
@@ -317,10 +326,7 @@ bool Inflater::step(BitReader& reader, std::vector<std::uint8_t>& out,
         const unsigned dist =
             kDistCodes[dsym].base +
             reader.read_bits(kDistCodes[dsym].extra_bits);
-        if (!copy_match(length, dist, out)) {
-          fail("deflate: distance beyond window");
-          return false;
-        }
+        if (!copy_match(length, dist, out)) return false;
       }
     }
 
@@ -348,9 +354,11 @@ bool Inflater::step(BitReader& reader, std::vector<std::uint8_t>& out,
   return false;
 }
 
-InflateResult zlib_decompress(std::span<const std::uint8_t> input) {
+InflateResult zlib_decompress(std::span<const std::uint8_t> input,
+                              std::size_t max_out) {
   InflateResult result;
   Inflater inf(Inflater::Format::kZlib);
+  inf.set_output_cap(max_out);
   const Inflater::Status s = inf.feed(input, result.data);
   result.ok = s == Inflater::Status::kDone;
   if (!result.ok) {

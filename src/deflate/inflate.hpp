@@ -42,6 +42,11 @@ class Inflater {
     have_dictionary_ = true;
   }
 
+  /// Caps the total output: a stream that would produce more than
+  /// `max_out` bytes fails with kOutputCapError instead. Set it before the
+  /// first feed.
+  void set_output_cap(std::size_t max_out) { out_budget_ = max_out; }
+
   /// Feeds compressed bytes; decompressed bytes are appended to `out`.
   Status feed(std::span<const std::uint8_t> in, std::vector<std::uint8_t>& out);
 
@@ -66,7 +71,7 @@ class Inflater {
   Status run(std::vector<std::uint8_t>& out);
   bool step(BitReader& reader, std::vector<std::uint8_t>& out,
             bool& need_more);
-  void emit_byte(std::uint8_t byte, std::vector<std::uint8_t>& out);
+  bool emit_byte(std::uint8_t byte, std::vector<std::uint8_t>& out);
   bool copy_match(unsigned length, unsigned dist,
                   std::vector<std::uint8_t>& out);
   Status fail(std::string message);
@@ -96,18 +101,25 @@ class Inflater {
   std::size_t window_filled_ = 0;
 
   std::uint32_t adler_ = 1;
+  std::size_t out_budget_ = SIZE_MAX;  // bytes the stream may still produce
   std::vector<std::uint8_t> dictionary_;
   bool have_dictionary_ = false;
 
   static constexpr std::size_t kWindow = 32768;
 };
 
-/// One-shot convenience: returns empty vector + false on malformed input.
+/// The error of a stream that would inflate past its output cap.
+inline constexpr const char* kOutputCapError = "inflate: output past cap";
+
+/// One-shot convenience: returns empty vector + false on malformed input,
+/// and on a stream that would produce more than `max_out` bytes (error
+/// kOutputCapError, raised before the output grows past the cap).
 struct InflateResult {
   std::vector<std::uint8_t> data;
   bool ok = false;
   std::string error;
 };
-InflateResult zlib_decompress(std::span<const std::uint8_t> input);
+InflateResult zlib_decompress(std::span<const std::uint8_t> input,
+                              std::size_t max_out);
 
 }  // namespace hsim::deflate

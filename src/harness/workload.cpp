@@ -131,16 +131,6 @@ WorkloadResult run_workload(const WorkloadConfig& config,
   sim::EventQueue& queue0 = engine.queue(0);
   queue0.reserve(64 + 16 * static_cast<std::size_t>(n) / S);
 
-  const bool redundant = config.topology == TopologyKind::kDumbbellRedundant;
-  const bool dumbbell = config.topology != TopologyKind::kStar;
-  // Bottleneck link names depend on the shape; the redundant dumbbell has a
-  // primary pair (bnA) and a backup pair (bnB), all of which get the trace tap
-  // so conservation and the summary hold across failovers.
-  const std::vector<std::string> bn_links =
-      redundant
-          ? std::vector<std::string>{"bnA.up", "bnA.down", "bnB.up", "bnB.down"}
-          : std::vector<std::string>{"bn.up", "bn.down"};
-
   // ---- Shared side (shard 0): server host, bottleneck, aggregation ----
   run.use(0);
   sim::Rng server_rng(derive_seed(config.master_seed, kServerSeedSalt));
@@ -182,9 +172,13 @@ WorkloadResult run_workload(const WorkloadConfig& config,
   Fanout fanout;
   // Dumbbell wiring (routers + queue disciplines, topo subsystem).
   topo::Topology topo;
+  // The star's two links or the topology's record: every bottleneck link
+  // gets the trace tap (so conservation and the summary hold across
+  // failovers), and the collect step sums and reports through it.
+  topo::Bottleneck bottleneck;
   std::unique_ptr<server::HttpServer> server;
 
-  if (!dumbbell) {
+  if (config.topology == TopologyKind::kStar) {
     net::LinkConfig bn_cfg;
     bn_cfg.bandwidth_bps = config.bottleneck_bandwidth_bps;
     bn_cfg.propagation_delay = config.bottleneck_delay;
@@ -193,8 +187,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
         std::make_unique<net::Link>(queue0, bn_cfg, server_rng.fork());
     bottleneck_down =
         std::make_unique<net::Link>(queue0, bn_cfg, server_rng.fork());
-    bottleneck_up->set_tap(tap);
-    bottleneck_down->set_tap(tap);
+    bottleneck.links = {bottleneck_up.get(), bottleneck_down.get()};
 
     funnel.bottleneck = bottleneck_up.get();
     bottleneck_up->set_sink(&server_host);
@@ -281,10 +274,10 @@ WorkloadResult run_workload(const WorkloadConfig& config,
             return {&engine.queue(cs), run.regs[cs].get()};
           });
     }
-    topo = redundant ? builder.dumbbell_redundant(client_hosts, &server_host,
-                                                  access, spec)
-                     : builder.dumbbell(client_hosts, &server_host, access, spec);
-    for (const std::string& name : bn_links) topo.link(name)->set_tap(tap);
+    topo = builder.dumbbell(
+        client_hosts, &server_host, access, spec,
+        config.topology == TopologyKind::kDumbbellRedundant);
+    bottleneck = topo.bottleneck();
     if (config.hop_trace) topo.set_hop_trace(config.hop_trace);
     if (config.on_topology) config.on_topology(topo, queue0);
 
@@ -298,9 +291,8 @@ WorkloadResult run_workload(const WorkloadConfig& config,
       if (cs != 0) {
         // The uplink delivers into the gate router on shard 0; the downlink
         // (a shard-0 gate egress) delivers back to the client.
-        const std::string base = "client" + std::to_string(i);
-        cross_deliver(engine, 0, *topo.link(base + ".up"));
-        cross_deliver(engine, cs, *topo.link(base + ".down"));
+        cross_deliver(engine, 0, *topo.client_legs()[i].up);
+        cross_deliver(engine, cs, *topo.client_legs()[i].down);
       }
       run.use(cs);
       robots.push_back(std::make_unique<client::Robot>(
@@ -308,6 +300,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     }
   }
   run.use(0);
+  for (net::Link* link : bottleneck.links) link->set_tap(tap);
 
   // ---- Arrival process ----
   sim::Rng arrival_rng(derive_seed(config.master_seed, kArrivalSeedSalt));
@@ -374,24 +367,16 @@ WorkloadResult run_workload(const WorkloadConfig& config,
   result.bottleneck = net::summary_from_metrics(registry);
   result.bottleneck_syns = registry.counter_value("trace.syn_packets");
   result.tcp_retransmits = registry.counter_value("tcp.retransmits");
-  if (!dumbbell) {
-    result.bottleneck_queue_drops =
-        bottleneck_up->stats().packets_dropped_queue +
-        bottleneck_down->stats().packets_dropped_queue;
-  } else {
-    // All bottleneck buffering lives in the queue disciplines (the links'
-    // internal queues are back-pressured and never drop, but count them
-    // anyway so a regression there can't hide).
-    result.bottleneck_queue_drops = topo.queue_drops();
-    for (const std::string& name : bn_links) {
-      result.bottleneck_queue_drops +=
-          topo.link(name)->stats().packets_dropped_queue;
-    }
-    for (const topo::QueueDisc* q : topo.queues()) {
-      if (q->label().rfind("bn", 0) != 0) continue;  // fan-out queues: silent
-      result.queues.push_back(
-          QueueSummary{q->label(), std::string(q->kind()), q->stats()});
-    }
+  // The star's drop-tail lives in its links; a dumbbell's buffering lives in
+  // its queue disciplines (their links are back-pressured and never drop,
+  // but count them anyway so a regression there can't hide).
+  for (const net::Link* link : bottleneck.links) {
+    result.bottleneck_queue_drops += link->stats().packets_dropped_queue;
+  }
+  for (const topo::QueueDisc* q : bottleneck.queues) {
+    result.bottleneck_queue_drops += q->stats().dropped();
+    result.queues.push_back(
+        QueueSummary{q->label(), std::string(q->kind()), q->stats()});
   }
   result.server = server->stats();
   if (const tcp::ListenerStats* ls = server_host.listener_stats(80)) {

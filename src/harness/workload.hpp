@@ -26,6 +26,10 @@
 //   topo/topology.hpp. Per-queue depth/drop/latency stats surface in the
 //   run's registry (topo.queue.*) and in WorkloadResult::queues.
 //
+// Either way the bottleneck is one topo::Bottleneck record — the star's two
+// links, or the one the topology recorded — and the run taps it for the
+// trace summary, sums its drops and reports its queues through that record.
+//
 //     client 0 ── access ──┐                    ┌── server
 //     client 1 ── access ──┤ gate ══ qdisc ══ core
 //     client N ── access ──┘    bottleneck pair
@@ -58,7 +62,7 @@ enum class TopologyKind {
   kStar,      // legacy funnel/fan-out; byte-exact with pre-topology builds
   kDumbbell,  // routers + queue disciplines around a shared bottleneck
   /// Dumbbell with a redundant bottleneck pair and deterministic
-  /// forwarding-table failover (topo::TopologyBuilder::dumbbell_redundant).
+  /// forwarding-table failover (topo::TopologyBuilder::dumbbell, redundant).
   kDumbbellRedundant,
 };
 
@@ -194,8 +198,9 @@ struct WorkloadResult {
   /// Total TCP retransmissions across every host (registry tcp.retransmits).
   std::uint64_t tcp_retransmits = 0;
 
-  /// Dumbbell runs: the bottleneck queue disciplines' counters ("bn.up",
-  /// "bn.down"). Empty for star runs.
+  /// Dumbbell runs: the bottleneck queue disciplines' counters, in the
+  /// order topo::Bottleneck::queues records them ("bn.up", "bn.down"; or
+  /// "bnA.up", "bnB.up", "bnA.down", "bnB.down"). Empty for star runs.
   std::vector<QueueSummary> queues;
 
   server::ServerStats server;

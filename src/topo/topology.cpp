@@ -7,7 +7,7 @@ namespace hsim::topo {
 namespace {
 
 /// How long a router must observe the primary bottleneck down (or healthy
-/// again) before failing over (or back) in dumbbell_redundant.
+/// again) before failing over (or back) in the redundant dumbbell.
 constexpr sim::Time kFailoverDetectionDelay = sim::milliseconds(50);
 
 net::LinkConfig attach_link_config() {
@@ -30,13 +30,15 @@ net::LinkConfig bottleneck_link_config(const BottleneckSpec& spec) {
   return cfg;
 }
 
-}  // namespace
-
+/// An unlimited DropTail for host-attachment and fan-out egresses whose
+/// queueing should be invisible.
 std::unique_ptr<QueueDisc> unlimited_queue(std::string label) {
   return std::make_unique<DropTail>(std::move(label),
                                     DropTailConfig{/*limit_packets=*/0,
                                                    /*limit_bytes=*/0});
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Topology
@@ -50,22 +52,6 @@ Router* Topology::router(std::string_view name) const {
 net::Link* Topology::link(std::string_view name) const {
   const auto it = links_by_name_.find(name);
   return it == links_by_name_.end() ? nullptr : it->second;
-}
-
-std::vector<const QueueDisc*> Topology::queues() const {
-  std::vector<const QueueDisc*> out;
-  for (const auto& router : routers_) {
-    for (std::size_t i = 0; i < router->egress_count(); ++i) {
-      out.push_back(&router->egress_queue(i));
-    }
-  }
-  return out;
-}
-
-std::uint64_t Topology::queue_drops() const {
-  std::uint64_t drops = 0;
-  for (const QueueDisc* q : queues()) drops += q->stats().dropped();
-  return drops;
 }
 
 void Topology::set_hop_trace(net::PacketTrace* trace) {
@@ -120,6 +106,7 @@ void TopologyBuilder::wire_client_legs(Topology& topo,
                                     rng_.fork());
     up->set_sink(gate);
     down->set_sink(client);
+    topo.client_legs_.push_back({up, down});
     client->attach_uplink(up);
     const std::size_t egress =
         gate->add_egress(down, unlimited_queue(gate->name() + "." + base));
@@ -130,82 +117,51 @@ void TopologyBuilder::wire_client_legs(Topology& topo,
 Topology TopologyBuilder::dumbbell(const std::vector<tcp::Host*>& clients,
                                    tcp::Host* server,
                                    const net::ChannelConfig& access,
-                                   const BottleneckSpec& bottleneck) {
+                                   const BottleneckSpec& bottleneck,
+                                   bool redundant) {
+  const std::vector<std::string> pairs =
+      redundant ? std::vector<std::string>{"bnA", "bnB"}
+                : std::vector<std::string>{"bn"};
   Topology topo;
   Router* gate = topo.add_router("gate", queue_);
   Router* core = topo.add_router("core", queue_);
 
-  net::LinkConfig bn_cfg = bottleneck_link_config(bottleneck);
-  if (bottleneck.mutate_link) bottleneck.mutate_link(bn_cfg);
-  net::Link* bn_up = topo.add_link("bn.up", queue_, bn_cfg, rng_.fork());
-  net::Link* bn_down = topo.add_link("bn.down", queue_, bn_cfg, rng_.fork());
-  bn_up->set_sink(core);
-  bn_down->set_sink(gate);
+  // The first pair carries the injected faults; a backup pair stays clean so
+  // the failover has somewhere sane to land.
+  std::vector<net::Link*> ups, downs;
+  for (const std::string& pair : pairs) {
+    net::LinkConfig cfg = bottleneck_link_config(bottleneck);
+    if (ups.empty() && bottleneck.mutate_link) bottleneck.mutate_link(cfg);
+    ups.push_back(topo.add_link(pair + ".up", queue_, cfg, rng_.fork()));
+    downs.push_back(topo.add_link(pair + ".down", queue_, cfg, rng_.fork()));
+    ups.back()->set_sink(core);
+    downs.back()->set_sink(gate);
+    topo.bottleneck_.links.push_back(ups.back());
+    topo.bottleneck_.links.push_back(downs.back());
+  }
 
-  // The shared queues: everything client->server crosses gate's bottleneck
-  // egress, everything server->client crosses core's.
-  const std::size_t gate_to_core = gate->add_egress(
-      bn_up, make_queue_disc(bottleneck.queue, "bn.up", rng_.fork()));
-  const std::size_t core_to_gate = core->add_egress(
-      bn_down, make_queue_disc(bottleneck.queue, "bn.down", rng_.fork()));
-  gate->add_route(server->addr(), gate_to_core);
-  core->set_default_route(core_to_gate);
+  // The shared queues: everything client->server crosses a gate egress,
+  // everything server->client a core egress. Returns the primary egress.
+  const auto add_bottleneck_egresses = [&](Router* router,
+                                           const std::vector<net::Link*>& links,
+                                           const char* direction) {
+    std::vector<std::size_t> egress;
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      egress.push_back(router->add_egress(
+          links[p], make_queue_disc(bottleneck.queue, pairs[p] + direction,
+                                    rng_.fork())));
+      topo.bottleneck_.queues.push_back(&router->egress_queue(egress.back()));
+    }
+    if (redundant) {
+      router->set_failover(egress[0], egress[1], kFailoverDetectionDelay);
+    }
+    return egress[0];
+  };
+  gate->add_route(server->addr(), add_bottleneck_egresses(gate, ups, ".up"));
+  core->set_default_route(add_bottleneck_egresses(core, downs, ".down"));
 
   // Server attachment: an infinite-capacity leg so the core has a Link to
   // clock against; the bottleneck serialisation happened one hop earlier.
-  net::Link* server_up =
-      topo.add_link("server.up", queue_, attach_link_config(), rng_.fork());
-  net::Link* server_down =
-      topo.add_link("server.down", queue_, attach_link_config(), rng_.fork());
-  server_up->set_sink(core);
-  server_down->set_sink(server);
-  server->attach_uplink(server_up);
-  const std::size_t to_server =
-      core->add_egress(server_down, unlimited_queue("core.server"));
-  core->add_route(server->addr(), to_server);
-
-  wire_client_legs(topo, clients, access, gate);
-  return topo;
-}
-
-Topology TopologyBuilder::dumbbell_redundant(
-    const std::vector<tcp::Host*>& clients, tcp::Host* server,
-    const net::ChannelConfig& access, const BottleneckSpec& bottleneck) {
-  Topology topo;
-  Router* gate = topo.add_router("gate", queue_);
-  Router* core = topo.add_router("core", queue_);
-
-  // Primary pair carries the injected faults; the backup pair stays clean so
-  // the failover has somewhere sane to land.
-  net::LinkConfig primary_cfg = bottleneck_link_config(bottleneck);
-  if (bottleneck.mutate_link) bottleneck.mutate_link(primary_cfg);
-  const net::LinkConfig backup_cfg = bottleneck_link_config(bottleneck);
-
-  net::Link* bna_up = topo.add_link("bnA.up", queue_, primary_cfg, rng_.fork());
-  net::Link* bna_down =
-      topo.add_link("bnA.down", queue_, primary_cfg, rng_.fork());
-  net::Link* bnb_up = topo.add_link("bnB.up", queue_, backup_cfg, rng_.fork());
-  net::Link* bnb_down =
-      topo.add_link("bnB.down", queue_, backup_cfg, rng_.fork());
-  bna_up->set_sink(core);
-  bnb_up->set_sink(core);
-  bna_down->set_sink(gate);
-  bnb_down->set_sink(gate);
-
-  const std::size_t gate_primary = gate->add_egress(
-      bna_up, make_queue_disc(bottleneck.queue, "bnA.up", rng_.fork()));
-  const std::size_t gate_backup = gate->add_egress(
-      bnb_up, make_queue_disc(bottleneck.queue, "bnB.up", rng_.fork()));
-  gate->add_route(server->addr(), gate_primary);
-  gate->set_failover(gate_primary, gate_backup, kFailoverDetectionDelay);
-
-  const std::size_t core_primary = core->add_egress(
-      bna_down, make_queue_disc(bottleneck.queue, "bnA.down", rng_.fork()));
-  const std::size_t core_backup = core->add_egress(
-      bnb_down, make_queue_disc(bottleneck.queue, "bnB.down", rng_.fork()));
-  core->set_default_route(core_primary);
-  core->set_failover(core_primary, core_backup, kFailoverDetectionDelay);
-
   net::Link* server_up =
       topo.add_link("server.up", queue_, attach_link_config(), rng_.fork());
   net::Link* server_down =

@@ -2,18 +2,22 @@
 //
 // The builder wires caller-owned tcp::Hosts into router/link graphs and
 // returns a Topology that owns the routers, links and queue disciplines.
-// One shape covers the many-client experiments (dumbbell_redundant adds a
-// backup bottleneck pair to it):
+// One shape covers the many-client experiments:
 //
 //   dumbbell — the contention shape: per-client access legs into a "gate"
-//   router, one shared bottleneck link pair (each direction carrying the
+//   router, a shared bottleneck link pair (each direction carrying the
 //   configured queue discipline) to a "core" router, and a host-attachment
 //   leg to the server. Every byte of every client crosses the same two
-//   bottleneck queues, so N clients genuinely share the capacity.
+//   bottleneck queues, so N clients genuinely share the capacity. The
+//   redundant variant adds a backup pair beside the primary one.
 //
 //       client0 ── access ──┐                      ┌── attach ── server
 //       client1 ── access ──┤ gate ══ bottleneck ══ core
 //       clientN ── access ──┘   (qdisc each way)
+//
+// The Topology records what the builder wired: its bottleneck links and
+// queues, and each client's two access legs. Callers tap, sum and report
+// through that record instead of spelling link names.
 //
 // All randomness (RED drop streams, link jitter) forks off the one rng the
 // builder is given, so a topology is reproducible from a single seed.
@@ -44,16 +48,33 @@ struct BottleneckSpec {
   sim::Time delay = sim::milliseconds(10);
   QueueConfig queue;
   /// Optional edit of the bottleneck link configs just before the links are
-  /// built (both directions; in dumbbell_redundant only the *primary* pair).
+  /// built (both directions; in the redundant dumbbell only the *primary*
+  /// pair).
   /// This is how fault timelines arm outage windows / loss models on the
   /// shared link without touching the access legs. Null = unmodified.
   std::function<void(net::LinkConfig&)> mutate_link;
 };
 
+/// The shared bottleneck a run taps, sums and reports.
+struct Bottleneck {
+  /// Every bottleneck link, both directions of every pair.
+  std::vector<net::Link*> links;
+  /// The queue disciplines in front of them: every pair's client->server
+  /// queue, then every pair's server->client queue. Empty when the links
+  /// do their own drop-tail queueing.
+  std::vector<const QueueDisc*> queues;
+};
+
+/// One client's access legs.
+struct ClientLegs {
+  net::Link* up = nullptr;    // client -> gate
+  net::Link* down = nullptr;  // gate -> client
+};
+
 /// Owns the routers, links and queue disciplines a builder wired up; hosts
 /// stay caller-owned. Links and routers are reachable by name:
-///   links:   "client<i>.up" / "client<i>.down", "bn.up" / "bn.down",
-///            "server.up" / "server.down"
+///   links:   "client<i>.up" / "client<i>.down", "bn.up" / "bn.down" (or
+///            "bnA.*" / "bnB.*" when redundant), "server.up" / "server.down"
 ///   routers: "gate" / "core"
 class Topology {
  public:
@@ -64,12 +85,9 @@ class Topology {
     return routers_;
   }
 
-  /// Every queue discipline in the topology (router egress order), for
-  /// stats collection.
-  std::vector<const QueueDisc*> queues() const;
-
-  /// Total packets dropped by queue disciplines, all routers.
-  std::uint64_t queue_drops() const;
+  const Bottleneck& bottleneck() const { return bottleneck_; }
+  /// Client i's legs, in client order.
+  const std::vector<ClientLegs>& client_legs() const { return client_legs_; }
 
   /// Attaches a multi-hop trace to every router.
   void set_hop_trace(net::PacketTrace* trace);
@@ -86,6 +104,8 @@ class Topology {
   std::map<std::string, net::Link*, std::less<>> links_by_name_;
   std::map<std::string, Router*, std::less<>> routers_by_name_;
   std::int32_t next_router_id_ = 1;  // 0 is reserved; -1 means "no hop"
+  Bottleneck bottleneck_;
+  std::vector<ClientLegs> client_legs_;
 };
 
 class TopologyBuilder {
@@ -111,26 +131,20 @@ class TopologyBuilder {
     uplink_placement_ = std::move(fn);
   }
 
-  /// Shared dumbbell bottleneck (see file comment). `access` shapes each
-  /// client's private legs; `bottleneck` shapes the shared pair, including
-  /// the per-direction queue discipline.
+  /// The dumbbell (see file comment). `access` shapes each client's private
+  /// legs; `bottleneck` shapes the shared pair, including the per-direction
+  /// queue discipline.
+  ///
+  /// `redundant` adds a backup pair: both directions route over the primary
+  /// pair ("bnA.up"/"bnA.down") until the owning router observes it down for
+  /// 50 ms, then fail over to the backup pair ("bnB.up"/"bnB.down"), failing
+  /// back symmetrically once the primary has been healthy for 50 ms.
+  /// Detection is traffic-clocked (see Router::set_failover).
+  /// bottleneck.mutate_link applies to the primary pair only, so injected
+  /// outages exercise the failover path while the backup stays clean.
   Topology dumbbell(const std::vector<tcp::Host*>& clients, tcp::Host* server,
                     const net::ChannelConfig& access,
-                    const BottleneckSpec& bottleneck);
-
-  /// Dumbbell with a redundant bottleneck: the shape of dumbbell(), plus a
-  /// second (backup) bottleneck pair between gate and core. Both directions
-  /// route over the primary pair ("bnA.up"/"bnA.down") until the owning
-  /// router observes it down for 50 ms, then fail over to the backup pair
-  /// ("bnB.up"/"bnB.down"), failing back symmetrically once the primary has
-  /// been healthy for 50 ms. Detection is traffic-clocked (see
-  /// Router::set_failover). bottleneck.mutate_link applies to the
-  /// primary pair only, so injected outages exercise the failover path while
-  /// the backup stays clean.
-  Topology dumbbell_redundant(const std::vector<tcp::Host*>& clients,
-                              tcp::Host* server,
-                              const net::ChannelConfig& access,
-                              const BottleneckSpec& bottleneck);
+                    const BottleneckSpec& bottleneck, bool redundant);
 
  private:
   /// Wires client i's duplex access legs: uplink into `gate`, downlink out
@@ -142,9 +156,5 @@ class TopologyBuilder {
   sim::Rng rng_;
   UplinkPlacementFn uplink_placement_;
 };
-
-/// An unlimited DropTail for host-attachment and fan-out egresses whose
-/// queueing should be invisible.
-std::unique_ptr<QueueDisc> unlimited_queue(std::string label);
 
 }  // namespace hsim::topo

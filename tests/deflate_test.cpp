@@ -19,7 +19,7 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
 std::vector<std::uint8_t> roundtrip(const std::vector<std::uint8_t>& input,
                                     int level) {
   const auto compressed = zlib_compress(input, DeflateOptions{level});
-  InflateResult r = zlib_decompress(compressed);
+  InflateResult r = zlib_decompress(compressed, input.size());
   EXPECT_TRUE(r.ok) << r.error;
   return r.data;
 }
@@ -82,7 +82,7 @@ TEST(DeflateTest, RepetitiveTextCompressesWell) {
   const auto input = bytes_of(s);
   const auto compressed = zlib_compress(input, DeflateOptions{6});
   EXPECT_LT(compressed.size(), input.size() / 10);
-  EXPECT_EQ(zlib_decompress(compressed).data, input);
+  EXPECT_EQ(zlib_decompress(compressed, input.size()).data, input);
 }
 
 TEST(DeflateTest, HtmlLikeTextHitsPaperCompressionFactor) {
@@ -105,7 +105,7 @@ TEST(DeflateTest, HtmlLikeTextHitsPaperCompressionFactor) {
   const auto input = bytes_of(html);
   const auto compressed = zlib_compress(input, DeflateOptions{6});
   EXPECT_LT(compressed.size() * 3, input.size());
-  EXPECT_EQ(zlib_decompress(compressed).data, input);
+  EXPECT_EQ(zlib_decompress(compressed, input.size()).data, input);
 }
 
 TEST(DeflateTest, IncompressibleDataSurvives) {
@@ -115,7 +115,7 @@ TEST(DeflateTest, IncompressibleDataSurvives) {
   const auto compressed = zlib_compress(input, DeflateOptions{6});
   // Random bytes do not compress; stored blocks keep expansion tiny.
   EXPECT_LT(compressed.size(), input.size() + input.size() / 100 + 64);
-  EXPECT_EQ(zlib_decompress(compressed).data, input);
+  EXPECT_EQ(zlib_decompress(compressed, input.size()).data, input);
 }
 
 TEST(DeflateTest, AllLevelsRoundtrip) {
@@ -219,7 +219,7 @@ TEST(InflateTest, RejectsCorruptAdler) {
   const auto input = bytes_of("checksummed payload");
   auto compressed = zlib_compress(input, DeflateOptions{6});
   compressed.back() ^= 0xFF;
-  InflateResult r = zlib_decompress(compressed);
+  InflateResult r = zlib_decompress(compressed, input.size());
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("Adler"), std::string::npos);
 }
@@ -228,7 +228,7 @@ TEST(InflateTest, RejectsTruncatedStream) {
   const auto input = bytes_of("this stream will be cut short");
   auto compressed = zlib_compress(input, DeflateOptions{6});
   compressed.resize(compressed.size() - 5);
-  InflateResult r = zlib_decompress(compressed);
+  InflateResult r = zlib_decompress(compressed, input.size());
   EXPECT_FALSE(r.ok);
 }
 
@@ -240,7 +240,7 @@ TEST(InflateTest, RejectsCorruptPayloadBits) {
   // Flip bits in the middle of the deflate payload; either a decode error or
   // an Adler mismatch must result — never a silent wrong answer.
   compressed[compressed.size() / 2] ^= 0x5A;
-  InflateResult r = zlib_decompress(compressed);
+  InflateResult r = zlib_decompress(compressed, input.size());
   EXPECT_FALSE(r.ok);
 }
 
@@ -251,6 +251,45 @@ TEST(InflateTest, RawFormatSkipsZlibFraming) {
   std::vector<std::uint8_t> out;
   EXPECT_EQ(inf.feed(raw, out), Inflater::Status::kDone);
   EXPECT_EQ(out, input);
+}
+
+TEST(InflateTest, OutputCapStopsExpansion) {
+  // A megabyte of zeros deflates to about a kilobyte: a 1000x expansion.
+  const std::vector<std::uint8_t> zeros(1 << 20, 0);
+  const auto compressed = zlib_compress(zeros, DeflateOptions{6});
+  ASSERT_LT(compressed.size(), 2000u);
+  const InflateResult capped = zlib_decompress(compressed, 4096);
+  EXPECT_FALSE(capped.ok);
+  EXPECT_EQ(capped.error, kOutputCapError);
+  EXPECT_TRUE(capped.data.empty());
+  // The cap is inclusive: exactly the stream's size passes, one less fails.
+  EXPECT_TRUE(zlib_decompress(compressed, zeros.size()).ok);
+  EXPECT_EQ(zlib_decompress(compressed, zeros.size() - 1).error,
+            kOutputCapError);
+}
+
+TEST(InflateTest, OutputCapCoversStoredBlocks) {
+  const auto input = bytes_of("stored, not compressed");
+  const auto stored = zlib_compress(input, DeflateOptions{0});
+  EXPECT_TRUE(zlib_decompress(stored, input.size()).ok);
+  EXPECT_EQ(zlib_decompress(stored, input.size() - 1).error, kOutputCapError);
+}
+
+TEST(InflateTest, StreamingOutputNeverPassesTheCap) {
+  const std::vector<std::uint8_t> zeros(100000, 0);
+  const auto compressed = zlib_compress(zeros, DeflateOptions{6});
+  Inflater inf;
+  inf.set_output_cap(777);
+  std::vector<std::uint8_t> out;
+  Inflater::Status status = Inflater::Status::kInProgress;
+  for (std::uint8_t b : compressed) {
+    status = inf.feed(std::span(&b, 1), out);
+    ASSERT_LE(out.size(), 777u);
+    if (status != Inflater::Status::kInProgress) break;
+  }
+  EXPECT_EQ(status, Inflater::Status::kError);
+  EXPECT_EQ(inf.error(), kOutputCapError);
+  EXPECT_EQ(out.size(), 777u);
 }
 
 // Robustness fuzz: arbitrary bytes fed to the inflater must never crash,
@@ -414,7 +453,7 @@ TEST_P(DeflateRoundtripProperty, Roundtrips) {
     }
   }
   const auto compressed = zlib_compress(input, DeflateOptions{level});
-  InflateResult r = zlib_decompress(compressed);
+  InflateResult r = zlib_decompress(compressed, input.size());
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.data, input);
 }

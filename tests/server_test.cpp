@@ -209,7 +209,7 @@ TEST_F(ServerFixture, DeflateVariantServedOnAcceptEncoding) {
   EXPECT_EQ(responses[0].status, 200);
   EXPECT_EQ(responses[0].headers.get("Content-Encoding"), "deflate");
   const auto body = responses[0].body.to_vector();
-  const auto inflated = deflate::zlib_decompress(body);
+  const auto inflated = deflate::zlib_decompress(body, 1 << 16);
   ASSERT_TRUE(inflated.ok);
   EXPECT_EQ(inflated.data.size(), 55u);
   EXPECT_EQ(server_.stats().deflated_responses, 1u);

@@ -91,6 +91,35 @@ TEST(DumbbellWorkload, ReportsBottleneckQueues) {
   EXPECT_EQ(r.bottleneck_queue_drops, disc_drops);
 }
 
+TEST(DumbbellWorkload, TopologyRecordsItsBottleneckAndClientLegs) {
+  harness::WorkloadConfig cfg = small_dumbbell(5, topo::QueueDiscKind::kDropTail);
+  cfg.num_clients = 3;
+  cfg.topology = harness::TopologyKind::kDumbbellRedundant;
+  std::vector<std::string> queue_labels;
+  cfg.on_topology = [&](topo::Topology& t, sim::EventQueue&) {
+    const topo::Bottleneck& bn = t.bottleneck();
+    EXPECT_EQ(bn.links, (std::vector<net::Link*>{
+                            t.link("bnA.up"), t.link("bnA.down"),
+                            t.link("bnB.up"), t.link("bnB.down")}));
+    for (const topo::QueueDisc* q : bn.queues) queue_labels.push_back(q->label());
+    ASSERT_EQ(t.client_legs().size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      const std::string base = "client" + std::to_string(i);
+      EXPECT_EQ(t.client_legs()[i].up, t.link(base + ".up"));
+      EXPECT_EQ(t.client_legs()[i].down, t.link(base + ".down"));
+    }
+  };
+  const harness::WorkloadResult r =
+      harness::run_workload(cfg, harness::shared_site());
+  // Client->server queues first, then server->client, each in pair order;
+  // the run reports exactly the recorded queues, in the recorded order.
+  EXPECT_EQ(queue_labels, (std::vector<std::string>{"bnA.up", "bnB.up",
+                                                    "bnA.down", "bnB.down"}));
+  std::vector<std::string> reported;
+  for (const harness::QueueSummary& q : r.queues) reported.push_back(q.label);
+  EXPECT_EQ(reported, queue_labels);
+}
+
 TEST(DumbbellWorkload, HopTraceSeesEveryPacketAtBothRouters) {
   harness::WorkloadConfig cfg = small_dumbbell(3, topo::QueueDiscKind::kDropTail);
   cfg.num_clients = 2;
