@@ -86,7 +86,7 @@ void Robot::begin(DoneCallback done) {
   finished_ = false;
   html_text_.clear();
   html_raw_consumed_ = 0;
-  refs_discovered_ = 0;
+  refs_scanned_to_ = 0;
   pushed_targets_.clear();
   inflater_.reset();
   retry_tokens_ = config_.retry_budget;
@@ -579,17 +579,18 @@ void Robot::ingest_html_bytes(std::span<const std::uint8_t> raw,
 
 void Robot::discover_references() {
   if (!config_.follow_embedded) return;
-  const auto refs = content::scan_image_references(html_text_);
+  std::vector<std::string> refs;
+  refs_scanned_to_ =
+      content::scan_image_references(html_text_, refs_scanned_to_, refs);
   bool added = false;
-  for (std::size_t i = refs_discovered_; i < refs.size(); ++i) {
-    if (pushed_targets_.count(refs[i]) != 0) continue;  // the push IS the fetch
+  for (std::string& ref : refs) {
+    if (pushed_targets_.count(ref) != 0) continue;  // the push IS the fetch
     PendingRequest req;
-    req.target = refs[i];
+    req.target = std::move(ref);
     ++expected_responses_;
     queue_.push_back(std::move(req));
     added = true;
   }
-  refs_discovered_ = std::max(refs_discovered_, refs.size());
   if (added) pump();
 }
 

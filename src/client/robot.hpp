@@ -355,7 +355,8 @@ class Robot {
   bool first_visit_ = false;
   std::string html_text_;            // decoded document prefix
   std::size_t html_raw_consumed_ = 0;  // raw body bytes already ingested
-  std::size_t refs_discovered_ = 0;
+  /// html_text_ offset past the last discovered reference (resume point).
+  std::size_t refs_scanned_to_ = 0;
   /// Targets covered by accepted h2 pushes: reference discovery skips these
   /// (the push IS the fetch), and duplicate promises are rejected.
   std::set<std::string> pushed_targets_;

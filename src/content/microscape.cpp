@@ -280,11 +280,11 @@ MicroscapeSite modernize_site(const MicroscapeSite& site, ModernCodec codec) {
   return modern;
 }
 
-std::vector<std::string> scan_image_references(std::string_view html_prefix) {
-  std::vector<std::string> refs;
-  std::size_t pos = 0;
+std::size_t scan_image_references(std::string_view html_prefix,
+                                  std::size_t from,
+                                  std::vector<std::string>& refs) {
   for (;;) {
-    const std::size_t img = html_prefix.find("<img ", pos);
+    const std::size_t img = html_prefix.find("<img ", from);
     if (img == std::string_view::npos) break;
     const std::size_t src = html_prefix.find("src=\"", img);
     if (src == std::string_view::npos) break;
@@ -292,8 +292,14 @@ std::vector<std::string> scan_image_references(std::string_view html_prefix) {
     const std::size_t end = html_prefix.find('"', start);
     if (end == std::string_view::npos) break;  // tag still incomplete
     refs.emplace_back(html_prefix.substr(start, end - start));
-    pos = end + 1;
+    from = end + 1;
   }
+  return from;
+}
+
+std::vector<std::string> scan_image_references(std::string_view html_prefix) {
+  std::vector<std::string> refs;
+  scan_image_references(html_prefix, 0, refs);
   return refs;
 }
 

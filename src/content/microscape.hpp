@@ -61,9 +61,18 @@ MicroscapeSite modernize_site(const MicroscapeSite& site,
 
 /// Extracts src="..." references in document order, possibly from a partial
 /// HTML prefix — the incremental scanning a pipelining client performs as
-/// bytes arrive. Only complete tags count. Each call rescans the whole
-/// prefix from its first byte; the client keeps the count of references it
-/// already issued and skips that many.
+/// bytes arrive. Only complete tags count. The resume form scans from `from`
+/// (0, or an offset an earlier call returned for a shorter prefix of the same
+/// document), appends only the references it completes to `refs`, and
+/// returns the offset just past the last one (or `from` when none), so a
+/// client scans each byte of a growing prefix about once. The scan is
+/// prefix-stable: a reference complete in a prefix is found, at the same
+/// offset, in every longer prefix.
+std::size_t scan_image_references(std::string_view html_prefix,
+                                  std::size_t from,
+                                  std::vector<std::string>& refs);
+
+/// Every complete reference in `html_prefix`.
 std::vector<std::string> scan_image_references(std::string_view html_prefix);
 
 }  // namespace hsim::content

@@ -4,6 +4,7 @@
 #include <iterator>
 
 #include "content/png.hpp"
+#include "deflate/checksum.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate/inflate.hpp"
 
@@ -89,6 +90,11 @@ MngDecodeResult decode_mng(std::span<const std::uint8_t> data) {
     }
     const char* type = reinterpret_cast<const char*>(&data[pos + 4]);
     std::span<const std::uint8_t> body(&data[pos + 8], len);
+    if (read_u32be(data, pos + 8 + len) !=
+        deflate::crc32(std::span(&data[pos + 4], len + 4))) {
+      result.error = "chunk crc mismatch";
+      return result;
+    }
     if (std::memcmp(type, "IHDR", 4) == 0) {
       if (len != 13) {
         result.error = "bad IHDR";

@@ -66,7 +66,7 @@ Connection::Connection(Host& host, Key key, TcpOptions options)
     : host_(host),
       key_(key),
       options_(options),
-      metrics_(Metrics::bind()),
+      metrics_(host.connection_metrics()),
       cc_(CongestionControl::make(options.cc)),
       rto_(kInitialRto),
       rto_timer_(host.event_queue()),

@@ -161,6 +161,24 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void start_accept(const net::Packet& syn);
   /// Processes one arriving segment.
   void segment_arrived(const net::Packet& packet);
+  /// Adds this connection's loss forensics into the tcp.cc.* aggregate
+  /// registry counters, once: at teardown, or when the host goes first.
+  void flush_forensics();
+
+  /// Aggregate tcp.* registry metrics (all-null handles when disabled),
+  /// bound once per Host and shared by every connection on it.
+  struct Metrics {
+    obs::CounterHandle segments_sent, segments_received, bytes_sent,
+        bytes_received, retransmits, fast_retransmits, rto_fires, delayed_acks,
+        nagle_holds, rst_sent, rst_received, time_wait_entered, opened;
+    // Loss forensics (tcp.cc.*), flushed once per connection at teardown.
+    obs::CounterHandle cc_enter_recovery, cc_enter_loss, cc_recovery_to_loss,
+        cc_full_recoveries, cc_partial_ack_retx, cc_spurious_rtos,
+        cc_after_idle, cc_first_loss_dupack, cc_first_loss_timeout,
+        cc_ca_entries[4];
+    obs::HistogramHandle cwnd_bytes;
+    static Metrics bind();
+  };
 
  private:
   using Offset = std::uint64_t;  // absolute position in the byte stream
@@ -212,9 +230,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Retransmits the earliest unacked segment (the fast-retransmit slice) and
   /// re-arms the RTO. No-op when nothing is outstanding.
   void retransmit_front_segment();
-  /// Adds this connection's loss forensics into the tcp.cc.* aggregate
-  /// registry counters (once, at teardown).
-  void flush_forensics();
   void enter_time_wait();
   void become_closed(bool notify_reset);
   void become_failed(ConnError error);
@@ -228,20 +243,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
   State state_ = State::kClosed;
   ConnectionStats stats_;
 
-  /// Aggregate tcp.* registry metrics (all-null handles when disabled).
-  struct Metrics {
-    obs::CounterHandle segments_sent, segments_received, bytes_sent,
-        bytes_received, retransmits, fast_retransmits, rto_fires, delayed_acks,
-        nagle_holds, rst_sent, rst_received, time_wait_entered, opened;
-    // Loss forensics (tcp.cc.*), flushed once per connection at teardown.
-    obs::CounterHandle cc_enter_recovery, cc_enter_loss, cc_recovery_to_loss,
-        cc_full_recoveries, cc_partial_ack_retx, cc_spurious_rtos,
-        cc_after_idle, cc_first_loss_dupack, cc_first_loss_timeout,
-        cc_ca_entries[4];
-    obs::HistogramHandle cwnd_bytes;
-    static Metrics bind();
-  };
-  Metrics metrics_;
+  /// The owning host's handles, shared by all its connections.
+  const Metrics& metrics_;
   // Null unless a registry with enable_timelines() was installed when the
   // connection was constructed; owned by the registry.
   obs::ConnTimeline* timeline_ = nullptr;

@@ -8,6 +8,13 @@ Host::Host(sim::EventQueue& queue, net::IpAddr addr, std::string name,
            sim::Rng rng)
     : queue_(queue), addr_(addr), name_(std::move(name)), rng_(rng) {}
 
+Host::~Host() {
+  // A connection can outlive its host (an application or a pending event
+  // may still hold it); its last flush must not reach freed handles.
+  // Closed connections flushed on their way out of connections_.
+  for (const auto& [key, conn] : connections_) conn->flush_forensics();
+}
+
 Host::Metrics Host::Metrics::bind() {
   Metrics m;
   if (obs::registry() == nullptr) return m;

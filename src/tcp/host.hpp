@@ -46,6 +46,11 @@ class Host : public net::PacketSink {
 
   Host(sim::EventQueue& queue, net::IpAddr addr, std::string name,
        sim::Rng rng);
+  /// Flushes the forensics of connections still open, while the handles
+  /// they share are alive.
+  ~Host() override;
+  Host(const Host&) = delete;  // connections and links hold its address
+  Host& operator=(const Host&) = delete;
 
   /// Wires this host's transmissions onto `uplink`.
   void attach_uplink(net::Link* uplink) { uplink_ = uplink; }
@@ -72,6 +77,11 @@ class Host : public net::PacketSink {
   /// reference so the caller can keep the object alive through a final
   /// callback.
   ConnectionPtr remove_connection(const Connection::Key& key);
+  /// tcp.* handles, bound under the registry installed when this host was
+  /// built; every connection on the host holds a reference to them.
+  const Connection::Metrics& connection_metrics() const {
+    return connection_metrics_;
+  }
   sim::EventQueue& event_queue() { return queue_; }
   sim::Rng& rng() { return rng_; }
 
@@ -101,6 +111,8 @@ class Host : public net::PacketSink {
   std::string name_;
   sim::Rng rng_;
   net::Link* uplink_ = nullptr;
+  // Declared before connections_, so it outlives them on destruction.
+  Connection::Metrics connection_metrics_ = Connection::Metrics::bind();
   std::map<Connection::Key, ConnectionPtr> connections_;
   std::map<net::Port, Listener> listeners_;
   /// Connections still in the handshake, charged against their listener's

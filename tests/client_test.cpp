@@ -69,7 +69,8 @@ TEST(CacheTest, PathsSorted) {
 
 // Wire-level inspection: capture actual requests the robot emits.
 struct WireRig {
-  WireRig(client::ClientConfig config)
+  explicit WireRig(client::ClientConfig config,
+                   server::ServerConfig server_config = server::apache_config())
       : rng(3),
         channel(queue,
                 net::ChannelConfig::symmetric(0, sim::milliseconds(5)),
@@ -78,7 +79,7 @@ struct WireRig {
         server_host(queue, 2, "s", rng.fork()),
         server(server_host,
                server::StaticSite::from_microscape(harness::shared_site()),
-               server::apache_config(), rng.fork()),
+               std::move(server_config), rng.fork()),
         robot(client_host, 2, 80, std::move(config)) {
     channel.attach_a(&client_host);
     channel.attach_b(&server_host);
@@ -129,6 +130,45 @@ TEST(RobotWireTest, FirstVisitSends43GetsInDocumentOrder) {
     EXPECT_EQ(requests[i].target, refs[i - 1]);
     EXPECT_EQ(requests[i].method, http::Method::kGet);
     EXPECT_EQ(requests[i].version, http::Version::kHttp11);
+  }
+}
+
+// The HTML arrives in 256-byte segments, so the robot scans it dozens of
+// times a page, resuming each scan where the last one stopped; every
+// image is still requested once, in document order, for plain and deflated
+// HTML alike. A second first visit on the same robot starts the scan over.
+TEST(RobotWireTest, SmallSegmentsRequestEachImageOnceInOrder) {
+  const content::MicroscapeSite& site = harness::shared_site();
+  for (const client::ProtocolMode mode :
+       {client::ProtocolMode::kHttp11Pipelined,
+        client::ProtocolMode::kHttp11PipelinedCompressed}) {
+    SCOPED_TRACE(client::to_string(mode));
+    client::ClientConfig config = harness::robot_config(mode);
+    config.tcp.mss = 256;
+    server::ServerConfig server_config = server::apache_config();
+    server_config.tcp.mss = 256;
+    WireRig rig(config, server_config);
+    for (int visit = 0; visit < 2; ++visit) {
+      SCOPED_TRACE(visit);
+      rig.request_bytes.clear();
+      rig.response_bytes.clear();
+      bool done = false;
+      rig.robot.start_first_visit("/index.html", [&] { done = true; });
+      rig.queue.run_until(rig.queue.now() + sim::seconds(120));
+      ASSERT_TRUE(done);
+      const std::string_view responses(
+          reinterpret_cast<const char*>(rig.response_bytes.data()),
+          rig.response_bytes.size());
+      EXPECT_EQ(responses.find("Content-Encoding: deflate") !=
+                    std::string_view::npos,
+                mode == client::ProtocolMode::kHttp11PipelinedCompressed);
+      const auto requests = rig.captured_requests();
+      ASSERT_EQ(requests.size(), 1 + site.images.size());
+      EXPECT_EQ(requests[0].target, "/index.html");
+      for (std::size_t i = 1; i < requests.size(); ++i) {
+        EXPECT_EQ(requests[i].target, site.images[i - 1].path) << i;
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "content/gif.hpp"
 #include "deflate/deflate.hpp"
+#include "sim/random.hpp"
 
 namespace hsim::content {
 namespace {
@@ -136,6 +137,81 @@ TEST(MicroscapeTest, ScanHandlesPartialPrefix) {
       EXPECT_EQ(partial[i], all[i]);
     }
   }
+}
+
+// Feeds the resume form growing prefixes of `html`, one ending at each of
+// `cuts` (ascending), as a client does while the document arrives. Checks
+// that the returned offset never moves backwards and returns every
+// reference found.
+std::vector<std::string> scan_at_cuts(std::string_view html,
+                                      const std::vector<std::size_t>& cuts) {
+  std::vector<std::string> refs;
+  std::size_t from = 0;
+  for (const std::size_t cut : cuts) {
+    const std::size_t next =
+        scan_image_references(html.substr(0, cut), from, refs);
+    EXPECT_GE(next, from) << "cut " << cut;
+    EXPECT_LE(next, cut) << "cut " << cut;
+    from = next;
+  }
+  return refs;
+}
+
+std::vector<std::size_t> cuts_every(std::size_t step, std::size_t size) {
+  std::vector<std::size_t> cuts;
+  for (std::size_t cut = step; cut < size; cut += step) cuts.push_back(cut);
+  cuts.push_back(size);
+  return cuts;
+}
+
+TEST(MicroscapeTest, ResumedScanEqualsWholeScanForAnySegmentation) {
+  const std::string& html = site().html;
+  const auto whole = scan_image_references(html);
+  ASSERT_EQ(whole.size(), 42u);
+  for (const std::size_t step : {1u, 536u, 1460u}) {
+    EXPECT_EQ(scan_at_cuts(html, cuts_every(step, html.size())), whole)
+        << "step " << step;
+  }
+  sim::Rng rng(24);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::size_t> cuts;
+    for (std::size_t cut = 0; cut < html.size();) {
+      cut = std::min(html.size(),
+                     cut + static_cast<std::size_t>(rng.uniform(1, 3000)));
+      cuts.push_back(cut);
+    }
+    EXPECT_EQ(scan_at_cuts(html, cuts), whole) << "round " << round;
+  }
+}
+
+TEST(MicroscapeTest, ResumedScanSurvivesCutsInsideATag) {
+  const std::string& html = site().html;
+  const auto whole = scan_image_references(html);
+  for (std::size_t img = html.find("<img "); img != std::string::npos;
+       img = html.find("<img ", img + 1)) {
+    const std::size_t src = html.find("src=\"", img);
+    ASSERT_NE(src, std::string::npos);
+    const std::size_t quote = html.find('"', src + 5);
+    ASSERT_NE(quote, std::string::npos);
+    // Inside "<img ", inside "src=\"", just past it, and just before and
+    // after the closing quote.
+    for (const std::size_t cut :
+         {img + 1, img + 4, src + 2, src + 5, quote, quote + 1}) {
+      EXPECT_EQ(scan_at_cuts(html, {cut, html.size()}), whole)
+          << "cut " << cut;
+    }
+  }
+}
+
+TEST(MicroscapeTest, ImgWithoutSrcTakesTheNextSrcInALaterTag) {
+  // Scanning pairs each "<img " with the next src="..." wherever it sits,
+  // so a src-less image adopts the script's. Resuming keeps that quirk.
+  const std::string html =
+      "<p><img src=\"/a.gif\"><img alt=\"spacer\" width=3></p>"
+      "<script src=\"/s.js\"></script><img src=\"/b.gif\">";
+  const std::vector<std::string> expected = {"/a.gif", "/s.js", "/b.gif"};
+  EXPECT_EQ(scan_image_references(html), expected);
+  EXPECT_EQ(scan_at_cuts(html, cuts_every(1, html.size())), expected);
 }
 
 TEST(MicroscapeTest, CssReplacementsCoverStaticImages) {

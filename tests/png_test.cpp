@@ -191,6 +191,21 @@ TEST(MngTest, DeltaPastFrameSizeFailsAtTheCap) {
   EXPECT_EQ(r.error, std::string("delta inflate: ") + deflate::kOutputCapError);
 }
 
+TEST(MngTest, CorruptChunkCrcIsRejected) {
+  auto mng = encode_mng(
+      generate_animation(SyntheticSpec{ImageKind::kLogo, 8, 8, 4, 2}, 2));
+  ASSERT_TRUE(decode_mng(mng).ok);
+  std::size_t pos = 8;
+  while (std::string(mng.begin() + pos + 4, mng.begin() + pos + 8) != "PLTE") {
+    pos += 12 + read_u32be(mng, pos);
+  }
+  ASSERT_GT(read_u32be(mng, pos), 0u);
+  mng[pos + 8] ^= 0x01;  // the first palette byte; the CRC stays stale
+  const MngDecodeResult r = decode_mng(mng);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "chunk crc mismatch");
+}
+
 /// Byte offsets of the chunks after the 8-byte signature, as far as their
 /// lengths stay inside the file.
 std::vector<std::size_t> chunk_offsets(const std::vector<std::uint8_t>& file) {
@@ -324,7 +339,8 @@ TEST(MngTest, MutatedMngsFailWithTypedErrors) {
       continue;
     }
     const bool typed =
-        e == "bad signature" || e == "truncated chunk" || e == "bad IHDR" ||
+        e == "bad signature" || e == "truncated chunk" ||
+        e == "chunk crc mismatch" || e == "bad IHDR" ||
         e == "delta before first frame" || e == "delta size mismatch" ||
         e == "incomplete mng" ||
         (e.rfind("first frame: ", 0) == 0 && is_scanline_error(e.substr(13))) ||

@@ -450,6 +450,41 @@ TEST(TcpCloseTest, TimelineAttributesFailurePathRst) {
   EXPECT_EQ(reg.counter_value("tcp.rto_fires"), rto_fires);
 }
 
+TEST(TcpCloseTest, ConnectionOutlivingItsHostFlushesOnceWhileHostLives) {
+  // Connections share their host's metric handles. One the application
+  // still holds when the host goes has its loss forensics flushed by the
+  // host, so its own teardown later touches no freed handles.
+  obs::Registry reg;
+  obs::ScopedRegistry scoped(&reg);
+  sim::EventQueue queue;
+  ConnectionPtr kept;
+  {
+    // An outage makes the client's first data segment time out, so its
+    // forensics have something to flush.
+    net::ChannelConfig cfg =
+        net::ChannelConfig::symmetric(0, sim::milliseconds(10));
+    cfg.a_to_b.outages.push_back({sim::milliseconds(100), sim::seconds(2)});
+    net::Channel channel(queue, cfg, sim::Rng(1));
+    tcp::Host client(queue, kClientAddr, "client", sim::Rng(2));
+    tcp::Host server(queue, kServerAddr, "server", sim::Rng(3));
+    channel.attach_a(&client);
+    channel.attach_b(&server);
+    client.attach_uplink(&channel.uplink_from_a());
+    server.attach_uplink(&channel.uplink_from_b());
+    server.listen(80, [](ConnectionPtr) {}, TcpOptions{});
+    kept = client.connect(kServerAddr, 80, TcpOptions{});
+    queue.schedule_at(sim::milliseconds(200), [&] { kept->send("late"); });
+    queue.run_until(sim::seconds(10));
+    ASSERT_EQ(kept->state(), State::kEstablished);
+    EXPECT_EQ(reg.counter_value("tcp.cc.first_loss.timeout"), 0u);
+  }
+  const std::string flushed = reg.snapshot().dump_text();
+  EXPECT_EQ(reg.counter_value("tcp.connections_opened"), 2u);
+  EXPECT_EQ(reg.counter_value("tcp.cc.first_loss.timeout"), 1u);
+  kept.reset();
+  EXPECT_EQ(reg.snapshot().dump_text(), flushed);
+}
+
 TEST(TcpCloseTest, TimeWaitExpiresAndReleasesConnection) {
   TestNet net;
   TcpOptions opts;
