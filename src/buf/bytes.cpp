@@ -48,6 +48,16 @@ Bytes::Bytes(std::vector<std::uint8_t>&& data) {
   owner_ = std::shared_ptr<const std::uint8_t[]>(std::move(holder), data_);
 }
 
+Bytes::Bytes(std::string&& text) {
+  if (text.empty()) return;
+  auto holder = std::make_shared<std::string>(std::move(text));
+  HSIM_BUF_COUNT(allocations, 1);
+  HSIM_BUF_COUNT(bytes_shared, holder->size());
+  data_ = reinterpret_cast<const std::uint8_t*>(holder->data());
+  size_ = holder->size();
+  owner_ = std::shared_ptr<const std::uint8_t[]>(std::move(holder), data_);
+}
+
 Bytes::Bytes(std::size_t n, std::uint8_t fill) {
   if (n == 0) return;
   auto block = allocate_block(n);

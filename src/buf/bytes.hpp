@@ -64,8 +64,9 @@ class Bytes {
       : Bytes(std::span<const std::uint8_t>(
             reinterpret_cast<const std::uint8_t*>(text.data()), text.size())) {}
 
-  /// Adopts an existing vector without copying its contents.
+  /// Adopts an existing vector or string without copying its contents.
   explicit Bytes(std::vector<std::uint8_t>&& data);
+  explicit Bytes(std::string&& text);
 
   /// A block of `n` copies of `fill`.
   Bytes(std::size_t n, std::uint8_t fill);

@@ -672,7 +672,12 @@ void Robot::handle_response(const LanePtr& lane, const PendingRequest& pending,
           }
         }
       }
-      entry.body.append(buf::Bytes(std::string_view(html_text_)));
+      // The decoded document moves into the cache: the robot keeps no
+      // copy of the HTML once the root is complete. Trimming the growth
+      // slack first keeps the cached entry the document's size.
+      html_text_.shrink_to_fit();
+      entry.body.append(buf::Bytes(std::move(html_text_)));
+      html_text_.clear();
     } else {
       if (stats_.first_image_done_at == 0) {
         stats_.first_image_done_at = host_.event_queue().now();

@@ -353,7 +353,9 @@ class Robot {
   // Incremental HTML handling (first visit).
   std::string root_target_;
   bool first_visit_ = false;
-  std::string html_text_;            // decoded document prefix
+  /// Decoded document prefix; moved into the root's cache entry when the
+  /// root completes.
+  std::string html_text_;
   std::size_t html_raw_consumed_ = 0;  // raw body bytes already ingested
   /// html_text_ offset past the last discovered reference (resume point).
   std::size_t refs_scanned_to_ = 0;
@@ -361,7 +363,6 @@ class Robot {
   /// (the push IS the fetch), and duplicate promises are rejected.
   std::set<std::string> pushed_targets_;
   std::optional<deflate::Inflater> inflater_;
-  std::string html_content_type_;
 
   /// Single client CPU: response processing serializes (models the libwww
   /// cache overhead the paper describes).

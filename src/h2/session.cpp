@@ -100,9 +100,33 @@ bool is_closed(bool reset, bool local_closed, bool remote_closed) {
 }
 }  // namespace
 
+bool Session::was_opened(std::uint32_t id) const {
+  const bool local = (id & 1) == (config_.is_server ? 0u : 1u);
+  return local ? id < next_local_id_ : id <= highest_peer_id_;
+}
+
 bool Session::stream_closed(std::uint32_t id) const {
   const Stream* s = find(id);
-  return s != nullptr && is_closed(s->reset, s->local_closed, s->remote_closed);
+  if (s == nullptr) return was_opened(id);
+  return is_closed(s->reset, s->local_closed, s->remote_closed);
+}
+
+void Session::half_close(Stream& s, bool local) {
+  (local ? s.local_closed : s.remote_closed) = true;
+  if (s.local_closed && s.remote_closed) closed_ids_.push_back(s.id);
+}
+
+void Session::forget_closed_streams() {
+  for (const std::uint32_t id : closed_ids_) {
+    // A reset stream stays: DATA the peer sent before seeing our RST must
+    // still find it and hand its connection window back. (A stream closes
+    // locally only once its send queue has drained.)
+    if (const auto it = streams_.find(id);
+        it != streams_.end() && !it->second.reset) {
+      streams_.erase(it);
+    }
+  }
+  closed_ids_.clear();
 }
 
 bool Session::stream_was_reset(std::uint32_t id) const {
@@ -196,7 +220,7 @@ void Session::pump_streams() {
     stats_.data_bytes_sent += n;
     metrics_.data_bytes_sent.inc(n);
     emit(std::move(f));
-    if (fin) s->local_closed = true;
+    if (fin) half_close(*s, /*local=*/true);
   }
   note_stalls();
 }
@@ -228,7 +252,7 @@ std::uint32_t Session::submit_request(const http::Request& req,
   f.flags = kFlagEndHeaders | kFlagEndStream;
   f.stream_id = id;
   f.payload = encode_request_block(req);
-  s.local_closed = true;
+  half_close(s, /*local=*/true);
   emit(std::move(f));
   return id;
 }
@@ -250,8 +274,11 @@ void Session::submit_response(std::uint32_t stream_id,
     s->end_after_send = true;
     pump_streams();
   } else {
-    s->local_closed = true;
+    half_close(*s, /*local=*/true);
   }
+  // Inside receive() a handler may still hold a Stream&; the outermost
+  // receive() forgets the closed streams on its way out instead.
+  if (!in_receive_) forget_closed_streams();
 }
 
 std::optional<std::uint32_t> Session::promise_push(std::uint32_t parent_stream,
@@ -270,7 +297,7 @@ std::optional<std::uint32_t> Session::promise_push(std::uint32_t parent_stream,
   f.payload = encode_push_promise_payload(id, req);
   Stream& s = open_stream(id, /*is_push=*/true, weight);
   // The client never sends on a promised stream.
-  s.remote_closed = true;
+  half_close(s, /*local=*/false);
   stats_.pushes_promised++;
   metrics_.pushes_promised.inc();
   emit(std::move(f));
@@ -326,6 +353,8 @@ void Session::connection_error(ErrorCode code, std::string message) {
 
 void Session::receive(buf::Chain data) {
   if (failed()) return;
+  const bool outermost = !in_receive_;
+  in_receive_ = true;
   decoder_.feed(std::move(data));
   while (!failed()) {
     std::optional<Frame> frame = decoder_.next();
@@ -345,6 +374,10 @@ void Session::receive(buf::Chain data) {
   if (decoder_.failed() && !error_) {
     const DecodeError err = *decoder_.error();
     connection_error(err.code, err.message);
+  }
+  if (outermost) {
+    in_receive_ = false;
+    forget_closed_streams();
   }
 }
 
@@ -421,15 +454,15 @@ void Session::handle_window_update(const Frame& f) {
     }
   } else {
     Stream* s = find(f.stream_id);
-    if (s == nullptr) {
+    if (s == nullptr && !was_opened(f.stream_id)) {
       connection_error(ErrorCode::kProtocolError,
                        "WINDOW_UPDATE on idle stream " +
                            std::to_string(f.stream_id));
       return;
     }
-    if (s->reset ||
+    if (s == nullptr ||
         is_closed(s->reset, s->local_closed, s->remote_closed))
-      return;  // late update for a finished stream
+      return;  // late update for a finished (or forgotten) stream
     s->send_window += inc;
     if (s->send_window > kMaxWindow) {
       connection_error(ErrorCode::kFlowControlError,
@@ -477,7 +510,10 @@ void Session::handle_data(Frame& f) {
   Stream* s = find(f.stream_id);
   if (s == nullptr) {
     connection_error(ErrorCode::kProtocolError,
-                     "DATA on idle stream " + std::to_string(f.stream_id));
+                     was_opened(f.stream_id)
+                         ? std::string("DATA on closed stream")
+                         : "DATA on idle stream " +
+                               std::to_string(f.stream_id));
     return;
   }
   if (s->reset) {
@@ -513,7 +549,7 @@ void Session::handle_data(Frame& f) {
   account_receive(fin ? nullptr : s, n);
   if (!config_.is_server && on_stream_data) on_stream_data(s->id, n);
   if (fin) {
-    s->remote_closed = true;
+    half_close(*s, /*local=*/false);
     if (config_.is_server) {
       last_processed_peer_id_ = std::max(last_processed_peer_id_, s->id);
       if (on_request) on_request(s->id, std::move(s->request));
@@ -552,7 +588,7 @@ void Session::handle_headers(const Frame& f) {
     }
     Stream& s = open_stream(f.stream_id, /*is_push=*/false, 16);
     if (f.has_flag(kFlagEndStream)) {
-      s.remote_closed = true;
+      half_close(s, /*local=*/false);
       s.request = std::move(*req);
       last_processed_peer_id_ = std::max(last_processed_peer_id_, s.id);
       if (on_request) on_request(s.id, std::move(s.request));
@@ -563,13 +599,13 @@ void Session::handle_headers(const Frame& f) {
   }
   // Client side: response headers on a stream we opened or were promised.
   Stream* s = find(f.stream_id);
-  if (s == nullptr) {
+  if (s == nullptr && !was_opened(f.stream_id)) {
     connection_error(ErrorCode::kProtocolError,
                      "HEADERS on idle stream " + std::to_string(f.stream_id));
     return;
   }
-  if (s->reset) return;  // in-flight response for a cancelled push
-  if (s->headers_received) {
+  if (s != nullptr && s->reset) return;  // in-flight response, cancelled push
+  if (s == nullptr || s->headers_received) {
     connection_error(ErrorCode::kProtocolError, "duplicate HEADERS");
     return;
   }
@@ -582,7 +618,7 @@ void Session::handle_headers(const Frame& f) {
   s->headers_received = true;
   s->response = std::move(*res);
   if (f.has_flag(kFlagEndStream)) {
-    s->remote_closed = true;
+    half_close(*s, /*local=*/false);
     if (s->is_push) {
       if (on_push_response) on_push_response(s->id, std::move(s->response));
     } else {
@@ -612,12 +648,13 @@ void Session::handle_push_promise(const Frame& f) {
   Stream* parent = find(f.stream_id);
   if (parent == nullptr) {
     connection_error(ErrorCode::kProtocolError,
-                     "PUSH_PROMISE on idle stream");
+                     was_opened(f.stream_id) ? "PUSH_PROMISE on closed stream"
+                                             : "PUSH_PROMISE on idle stream");
     return;
   }
   highest_peer_id_ = promise->promised_id;
   Stream& s = open_stream(promise->promised_id, /*is_push=*/true, 8);
-  s.local_closed = true;  // we never send on a promised stream
+  half_close(s, /*local=*/true);  // we never send on a promised stream
   const bool accept =
       config_.enable_push &&
       (!on_push_promise || on_push_promise(s.id, promise->request));

@@ -16,6 +16,13 @@
 //     MAX_FRAME_SIZE is sent per pick.
 //   - Streams live in an id-ordered map; every callback fires in frame
 //     arrival order. No hashing, no pointer-order iteration anywhere.
+//   - A stream closed in both directions (not reset, nothing queued) is
+//     erased from the map when the outermost receive() or a submit_response()
+//     outside receive() returns (RFC 7540 §5.1). An id this session opened
+//     or accepted that is no longer in the map counts as closed: a late
+//     WINDOW_UPDATE on it is ignored, DATA or HEADERS on it is a connection
+//     error, as for a closed stream still in the map. Reset streams stay, so
+//     DATA in flight after our RST still returns connection window.
 //   - Window replenishment (WINDOW_UPDATE) triggers at exactly half the
 //     initial window, per stream and per connection.
 //   - Every session advertises the RFC 7540 defaults — MAX_CONCURRENT_STREAMS
@@ -27,6 +34,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "buf/bytes.hpp"
 #include "h2/frame.hpp"
@@ -137,15 +145,18 @@ class Session {
   // ---- Introspection --------------------------------------------------
 
   /// Response accumulated so far on a client-side stream (headers must have
-  /// arrived); nullptr otherwise. Valid until the next receive().
+  /// arrived); nullptr otherwise. Valid until the current receive() returns
+  /// (a completed stream is forgotten then).
   const http::Response* stream_partial(std::uint32_t id) const;
-  /// True once `id` is fully closed (both directions or reset).
+  /// True once `id` is fully closed (both directions or reset), including
+  /// a closed stream the session has already forgotten.
   bool stream_closed(std::uint32_t id) const;
   bool stream_was_reset(std::uint32_t id) const;
 
   const SessionStats& stats() const { return stats_; }
 
   std::int64_t conn_send_window() const { return conn_send_window_; }
+  /// nullopt for an id not in the stream map (never opened, or forgotten).
   std::optional<std::int64_t> stream_send_window(std::uint32_t id) const;
   std::size_t open_stream_count() const;
   /// Bytes queued behind flow control across all streams.
@@ -189,6 +200,16 @@ class Session {
   Stream& open_stream(std::uint32_t id, bool is_push, std::uint8_t weight);
   Stream* find(std::uint32_t id);
   const Stream* find(std::uint32_t id) const;
+  /// True when `id` was opened (by us or by the peer) at some point: a
+  /// local-parity id below next_local_id_, or a peer-parity id at or below
+  /// highest_peer_id_. Such an id missing from streams_ is a closed stream.
+  bool was_opened(std::uint32_t id) const;
+  /// Closes one direction of `s`; a stream now closed both ways joins
+  /// closed_ids_.
+  void half_close(Stream& s, bool local);
+  /// Erases the streams in closed_ids_ that were not reset. No Stream& may
+  /// be held across the call.
+  void forget_closed_streams();
   void emit(Frame frame);
   void pump_streams();
   Stream* pick_next_stream();
@@ -211,6 +232,8 @@ class Session {
   SessionStats stats_;
 
   std::map<std::uint32_t, Stream> streams_;
+  /// Streams closed in both directions since the last forget_closed_streams.
+  std::vector<std::uint32_t> closed_ids_;
   // Round-robin cursor per weight: the id served last at that weight.
   std::map<std::uint8_t, std::uint32_t> rr_last_;
 
@@ -232,6 +255,8 @@ class Session {
   bool goaway_received_ = false;
   GoAway peer_goaway_;
   std::optional<DecodeError> error_;
+  /// Set while receive() runs: handlers hold Stream& across callbacks, so
+  /// closed streams are forgotten only when the outermost receive() returns.
   bool in_receive_ = false;
 };
 

@@ -317,11 +317,22 @@ WorkloadResult run_workload(const WorkloadConfig& config,
     }
   }
 
+  // A finished robot writes nothing more to its cache, so each page is
+  // checked (when asked) and released the moment it completes: a fleet
+  // holds only its in-flight pages. Done callbacks run on the client's own
+  // shard, and each touches only its own slots.
   std::vector<char> resolved(n, 0);
+  std::vector<char> byte_exact(n, 0);
   for (unsigned i = 0; i < n; ++i) {
     engine.queue(shard_of_client(i)).schedule_at(arrivals[i], [&, i] {
-      robots[i]->start_first_visit("/index.html",
-                                   [&resolved, i] { resolved[i] = 1; });
+      robots[i]->start_first_visit("/index.html", [&, i] {
+        resolved[i] = 1;
+        client::Robot& robot = *robots[i];
+        if (config.verify_cache && robot.stats().complete) {
+          byte_exact[i] = cache_matches_site(robot.cache(), site);
+        }
+        robot.cache().clear();
+      });
     });
   }
 
@@ -358,9 +369,7 @@ WorkloadResult run_workload(const WorkloadConfig& config,
       page_ms.observe(
           static_cast<std::uint64_t>(out.page_seconds() * 1000.0));
     }
-    if (config.verify_cache && out.stats.complete) {
-      out.byte_exact = cache_matches_site(robots[i]->cache(), site);
-    }
+    out.byte_exact = byte_exact[i] != 0;
   }
   // Registry-backed, like run_once: the bottleneck tap feeds the trace.*
   // metrics per packet, and summary_from_metrics reads the summary back.

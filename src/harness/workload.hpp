@@ -139,8 +139,10 @@ struct WorkloadConfig {
   /// so the leak check below is meaningful.
   sim::Time drain = sim::seconds(120);
 
-  /// Byte-exact per-client cache verification against the source site
-  /// (scale tests want it; the 1000-client bench skips the O(N·site) cost).
+  /// Byte-exact cache verification against the source site, once per page
+  /// that completes, at its completion (scale tests want it; the 1000-client
+  /// bench skips the O(N·site) cost). Either way each robot's cache is
+  /// released as soon as its page resolves.
   bool verify_cache = false;
 
   /// Optional: handed the run's metrics registry (the shard registries'

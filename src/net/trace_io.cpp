@@ -44,6 +44,13 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 constexpr std::size_t kBinaryRecordBytes = 34;
 /// v2 appends hop_router(i4) hop_queue_depth(4).
 constexpr std::size_t kBinaryRecordBytesV2 = 42;
+static_assert(kTraceBinaryMagic.size() == kTraceBinaryMagicV2.size());
+
+bool starts_with(const std::vector<std::uint8_t>& data,
+                 std::string_view magic) {
+  return data.size() >= magic.size() &&
+         std::memcmp(data.data(), magic.data(), magic.size()) == 0;
+}
 
 bool records_equal(const TraceRecord& a, const TraceRecord& b) {
   return a.time == b.time && a.src == b.src && a.dst == b.dst &&
@@ -126,16 +133,15 @@ std::vector<std::uint8_t> trace_to_binary(
 bool trace_from_binary(const std::vector<std::uint8_t>& data,
                        std::vector<TraceRecord>* out, std::string* error) {
   out->clear();
-  const std::size_t magic_len = kTraceBinaryMagic.size();
-  bool v2 = false;
-  if (data.size() >= kTraceBinaryMagicV2.size() &&
-      std::memcmp(data.data(), kTraceBinaryMagicV2.data(),
-                  kTraceBinaryMagicV2.size()) == 0) {
-    v2 = true;
-  } else if (data.size() < magic_len + 4 ||
-             std::memcmp(data.data(), kTraceBinaryMagic.data(), magic_len) !=
-                 0) {
+  const bool v2 = starts_with(data, kTraceBinaryMagicV2);
+  if (!v2 && !starts_with(data, kTraceBinaryMagic)) {
     if (error != nullptr) *error = "not an hsim binary trace (bad magic)";
+    return false;
+  }
+  // Both magics are the same length; the record count follows either.
+  const std::size_t magic_len = kTraceBinaryMagic.size();
+  if (data.size() < magic_len + 4) {
+    if (error != nullptr) *error = "truncated trace file";
     return false;
   }
   const std::size_t record_bytes =
@@ -362,14 +368,10 @@ bool load_trace_file(const std::string& path, std::vector<TraceRecord>* out,
     if (error != nullptr) *error = "cannot read " + path;
     return false;
   }
-  const bool binary =
-      (data.size() >= kTraceBinaryMagic.size() &&
-       std::memcmp(data.data(), kTraceBinaryMagic.data(),
-                   kTraceBinaryMagic.size()) == 0) ||
-      (data.size() >= kTraceBinaryMagicV2.size() &&
-       std::memcmp(data.data(), kTraceBinaryMagicV2.data(),
-                   kTraceBinaryMagicV2.size()) == 0);
-  if (binary) return trace_from_binary(data, out, error);
+  if (starts_with(data, kTraceBinaryMagic) ||
+      starts_with(data, kTraceBinaryMagicV2)) {
+    return trace_from_binary(data, out, error);
+  }
   return trace_from_text(std::string(data.begin(), data.end()), out, error);
 }
 

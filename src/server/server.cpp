@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 
-#include "content/microscape.hpp"
 #include "http/date.hpp"
 
 namespace hsim::server {
@@ -548,11 +547,8 @@ void HttpServer::finish_request_h2(const ConnStatePtr& state,
   std::vector<PendingPush> pushes;
   if (state->h2->peer_push_enabled() && res.status == 200 &&
       request.method == http::Method::kGet) {
-    const Resource* resource = site_.find(request.target);
-    if (resource != nullptr &&
-        std::string_view(resource->content_type).starts_with("text/html")) {
-      for (const std::string& ref :
-           content::scan_image_references(resource->data.view())) {
+    if (const Resource* resource = site_.find(request.target)) {
+      for (const std::string& ref : resource->image_refs) {
         if (site_.find(ref) == nullptr) continue;
         http::Request push_req;
         push_req.method = http::Method::kGet;

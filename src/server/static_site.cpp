@@ -7,7 +7,19 @@
 
 namespace hsim::server {
 
+namespace {
+
+void scan_push_list(Resource& r) {
+  r.image_refs.clear();
+  if (std::string_view(r.content_type).starts_with("text/html")) {
+    content::scan_image_references(r.data.view(), 0, r.image_refs);
+  }
+}
+
+}  // namespace
+
 void StaticSite::add(Resource resource) {
+  scan_push_list(resource);
   std::string key = resource.path;
   resources_[std::move(key)] = std::move(resource);
 }
@@ -26,6 +38,7 @@ bool StaticSite::update(const std::string& path,
   r.data = buf::Bytes(std::move(data));
   r.etag = make_etag(r.data.span());
   r.last_modified = modified_at;
+  scan_push_list(r);
   if (!r.deflated.empty()) {
     r.deflated = buf::Bytes(deflate::zlib_compress(r.data.span()));
   }

@@ -30,6 +30,10 @@ struct Resource {
   buf::Bytes deflated;
   std::string etag;
   http::UnixSeconds last_modified = http::kSimulationEpoch;
+  /// An HTML resource's embedded src= references in document order (the
+  /// h2 server's push list); empty for anything else. StaticSite fills it
+  /// on add() and update(), so a request never rescans the document.
+  std::vector<std::string> image_refs;
 };
 
 class StaticSite {

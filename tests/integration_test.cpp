@@ -69,17 +69,13 @@ TEST(IntegrationTest, CompressedModeTransfersFewerBytes) {
   EXPECT_EQ(compressed.robot.responses_ok, 43u);
 }
 
-TEST(IntegrationTest, CompressedHtmlDecodesIdentically) {
-  // The robot's cache stores the *decoded* document; it must match the
-  // original HTML exactly after streaming inflation.
-  ExperimentSpec spec;
-  spec.client = harness::robot_config(
-      ProtocolMode::kHttp11PipelinedCompressed);
-  spec.scenario = Scenario::kFirstVisit;
-
+/// One first visit by a robot driven directly (no harness), returning its
+/// cache: what the robot itself stored, before anyone releases it.
+client::Cache first_visit_cache(ProtocolMode mode) {
   sim::EventQueue queue;
   sim::Rng rng(7);
-  net::Channel channel(queue, spec.network.channel_config(), rng.fork());
+  net::Channel channel(queue, harness::lan_profile().channel_config(),
+                       rng.fork());
   tcp::Host ch(queue, 1, "c", rng.fork());
   tcp::Host sh(queue, 2, "s", rng.fork());
   channel.attach_a(&ch);
@@ -89,14 +85,36 @@ TEST(IntegrationTest, CompressedHtmlDecodesIdentically) {
   server::HttpServer server(sh, server::StaticSite::from_microscape(site()),
                             server::jigsaw_config(), rng.fork());
   server.start(80);
-  client::Robot robot(ch, 2, 80, spec.client);
+  client::Robot robot(ch, 2, 80, harness::robot_config(mode));
   bool done = false;
   robot.start_first_visit("/index.html", [&] { done = true; });
   queue.run_until(sim::seconds(300));
-  ASSERT_TRUE(done);
-  const client::CacheEntry* entry = robot.cache().find("/index.html");
+  EXPECT_TRUE(done);
+  return robot.cache();
+}
+
+void expect_root_entry_is_document(const client::Cache& cache) {
+  const client::CacheEntry* entry = cache.find("/index.html");
   ASSERT_NE(entry, nullptr);
   EXPECT_TRUE(entry->body.equals(std::string_view(site().html)));
+  EXPECT_EQ(cache.size(), 1 + site().images.size());
+}
+
+TEST(IntegrationTest, CompressedHtmlDecodesIdentically) {
+  // The robot's cache stores the *decoded* document (the robot moves it
+  // into the root's entry); it must match the original HTML exactly after
+  // streaming inflation.
+  expect_root_entry_is_document(
+      first_visit_cache(ProtocolMode::kHttp11PipelinedCompressed));
+}
+
+TEST(IntegrationTest, PlainRootCacheEntryIsTheDocument) {
+  for (const ProtocolMode mode :
+       {ProtocolMode::kHttp10Parallel, ProtocolMode::kHttp11Pipelined,
+        ProtocolMode::kH2}) {
+    SCOPED_TRACE(client::to_string(mode));
+    expect_root_entry_is_document(first_visit_cache(mode));
+  }
 }
 
 TEST(IntegrationTest, RevalidationGets304ForEverything) {
